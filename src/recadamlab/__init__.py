@@ -7,7 +7,7 @@ experiment harness for forgetting analysis at desk scale.
 
 from .errors import (ConfigError, DimensionError, InvalidBatchError,
                      NoDataError, NumericError, UnsupportedTaskError)
-from .numkit import RandomSource, axpy, l2_distance, param_vector
+from .numkit import RandomSource, l2_distance
 from .optim import (AdamConfig, AdamState, ScheduleMultiplier, adam_step,
                     adamw_step, coupled_recadam_step, recadam_step,
                     recadam_step_parts, schedule_multiplier)

@@ -2,13 +2,19 @@
 
 One key per line, sections dotted (``finetune.optimizer.kind=recadam``).
 Blank lines and ``#`` comments are allowed; unknown keys are hard errors.
+Every key's name, type, default and place in ``ExperimentConfig`` is one
+row of ``_KEYS``; parsing, defaults, ``to_flat`` and ``config_hash`` are
+all derived from that table.
 """
 
+import dataclasses
 import hashlib
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig, ScheduleMultiplier
@@ -23,41 +29,41 @@ INIT_KINDS = ("random", "pretrained")
 class TransferSpec:
     kind: str
     rho: float
-    seed: int = 0
-    dim: int = 0
-    n_samples: int = 512
-    dim_in: int = 0
-    hidden: int = 0
-    classes: int = 0
-    noise_std: Optional[float] = None
-    center_scale: float = 1.0
-    label_noise: float = 0.0
+    seed: int
+    dim: int
+    n_samples: int
+    dim_in: int
+    hidden: int
+    classes: int
+    noise_std: Optional[float]
+    center_scale: float
+    label_noise: float
 
 
 @dataclass
 class PretrainSpec:
     steps: int
-    batch_size: int = 32
-    optimizer: AdamConfig = field(default_factory=lambda: AdamConfig(alpha=0.01))
+    batch_size: int
+    optimizer: AdamConfig
 
 
 @dataclass
 class FinetuneSpec:
     steps: int
-    batch_size: int = 32
-    optimizer_kind: str = "adam"
-    optimizer: AdamConfig = field(default_factory=lambda: AdamConfig(alpha=0.001))
-    weight_decay: float = 0.0
-    init: str = "pretrained"
-    schedule: ScheduleMultiplier = field(default_factory=ScheduleMultiplier)
-    loss_threshold: Optional[float] = None
+    batch_size: int
+    optimizer_kind: str
+    optimizer: AdamConfig
+    weight_decay: float
+    init: str
+    schedule: ScheduleMultiplier
+    loss_threshold: Optional[float]
 
 
 @dataclass
 class PenaltySpec:
-    kind: str = "isotropic"
-    gamma: float = 5000.0
-    fisher_samples: int = 1000
+    kind: str
+    gamma: float
+    fisher_samples: int
 
 
 @dataclass
@@ -71,51 +77,16 @@ class ExperimentConfig:
     output_dir: str
 
     def to_flat(self) -> dict:
-        """Canonical flat key -> string mapping (round-trips via parse)."""
-        t, p, f, pen, s = self.transfer, self.pretrain, self.finetune, self.penalty, self.shifting
-        flat = {
-            "transfer.kind": t.kind,
-            "transfer.rho": repr(t.rho),
-            "transfer.seed": str(t.seed),
-            "transfer.n_samples": str(t.n_samples),
-            "transfer.center_scale": repr(t.center_scale),
-            "transfer.label_noise": repr(t.label_noise),
-            "pretrain.steps": str(p.steps),
-            "pretrain.batch_size": str(p.batch_size),
-            "pretrain.optimizer.alpha": repr(p.optimizer.alpha),
-            "pretrain.optimizer.beta1": repr(p.optimizer.beta1),
-            "pretrain.optimizer.beta2": repr(p.optimizer.beta2),
-            "pretrain.optimizer.eps": repr(p.optimizer.eps),
-            "finetune.steps": str(f.steps),
-            "finetune.batch_size": str(f.batch_size),
-            "finetune.optimizer.kind": f.optimizer_kind,
-            "finetune.optimizer.alpha": repr(f.optimizer.alpha),
-            "finetune.optimizer.beta1": repr(f.optimizer.beta1),
-            "finetune.optimizer.beta2": repr(f.optimizer.beta2),
-            "finetune.optimizer.eps": repr(f.optimizer.eps),
-            "finetune.optimizer.weight_decay": repr(f.weight_decay),
-            "finetune.init": f.init,
-            "finetune.schedule.kind": f.schedule.kind,
-            "finetune.schedule.warmup_steps": str(f.schedule.warmup_steps),
-            "finetune.schedule.total_steps": str(f.schedule.total_steps),
-            "penalty.kind": pen.kind,
-            "penalty.gamma": repr(pen.gamma),
-            "penalty.fisher_samples": str(pen.fisher_samples),
-            "shifting.k": repr(s.k),
-            "shifting.t0": str(s.t0),
-            "seeds": ",".join(str(x) for x in self.seeds),
-            "output_dir": self.output_dir,
-        }
-        if t.kind == "mlp-1h":
-            flat["transfer.dim_in"] = str(t.dim_in)
-            flat["transfer.hidden"] = str(t.hidden)
-            flat["transfer.classes"] = str(t.classes)
-        else:
-            flat["transfer.dim"] = str(t.dim)
-        if t.noise_std is not None:
-            flat["transfer.noise_std"] = repr(t.noise_std)
-        if f.loss_threshold is not None:
-            flat["finetune.loss_threshold"] = repr(f.loss_threshold)
+        """Canonical flat key -> string mapping (round-trips via parse).
+
+        Unset optional keys are left out, and so are the dimension keys the
+        task kind does not use: mlp-1h has dim_in/hidden/classes, the other
+        kinds have dim.
+        """
+        flat = {key: ",".join(map(str, v)) if type(v) is tuple else str(v)
+                for key, v in zip(_KEYS, _GET_ALL(self)) if v is not None}
+        for key in ("transfer.dim",) if self.transfer.kind == "mlp-1h" else _MLP_DIMS:
+            del flat[key]
         return flat
 
     def config_hash(self) -> str:
@@ -123,237 +94,193 @@ class ExperimentConfig:
         flat = self.to_flat()
         flat.pop("seeds", None)
         flat.pop("output_dir", None)
-        text = "\n".join(f"{k}={v}" for k, v in sorted(flat.items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        return hashlib.sha256(_lines(flat).encode()).hexdigest()[:12]
 
 
-def _parse_scalar(key: str, raw: str, kind: type):
-    try:
-        if kind is bool:
-            raise AssertionError("no boolean keys")
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+def _number(kind: type) -> Callable:
+    def parse(key: str, raw: str):
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: {raw!r} is not a finite number")
+        return value
+    return parse
 
 
-def _parse_choice(key: str, raw: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigError(f"{key}: {raw!r} not in {sorted(choices)}")
+def _choice(choices) -> Callable:
+    def parse(key: str, raw: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{key}: {raw!r} not in {sorted(choices)}")
+        return raw
+    return parse
+
+
+def _list_of(item: Callable) -> Callable:
+    def parse(key: str, raw: str) -> tuple:
+        values = tuple(item(key, part) for part in raw.split(",") if part.strip())
+        if not values:
+            raise ConfigError(f"{key}: empty list")
+        return values
+    return parse
+
+
+def _text(key: str, raw: str) -> str:
     return raw
 
 
-_SCHEMA = {
-    "transfer.kind": ("choice", TASK_KINDS),
-    "transfer.dim": ("scalar", int),
-    "transfer.rho": ("scalar", float),
-    "transfer.seed": ("scalar", int),
-    "transfer.n_samples": ("scalar", int),
-    "transfer.dim_in": ("scalar", int),
-    "transfer.hidden": ("scalar", int),
-    "transfer.classes": ("scalar", int),
-    "transfer.noise_std": ("scalar", float),
-    "transfer.center_scale": ("scalar", float),
-    "transfer.label_noise": ("scalar", float),
-    "pretrain.steps": ("scalar", int),
-    "pretrain.batch_size": ("scalar", int),
-    "pretrain.optimizer.alpha": ("scalar", float),
-    "pretrain.optimizer.beta1": ("scalar", float),
-    "pretrain.optimizer.beta2": ("scalar", float),
-    "pretrain.optimizer.eps": ("scalar", float),
-    "finetune.steps": ("scalar", int),
-    "finetune.batch_size": ("scalar", int),
-    "finetune.optimizer.kind": ("choice", STEPPER_KINDS),
-    "finetune.optimizer.alpha": ("scalar", float),
-    "finetune.optimizer.beta1": ("scalar", float),
-    "finetune.optimizer.beta2": ("scalar", float),
-    "finetune.optimizer.eps": ("scalar", float),
-    "finetune.optimizer.weight_decay": ("scalar", float),
-    "finetune.init": ("choice", INIT_KINDS),
-    "finetune.schedule.kind": ("choice", SCHEDULE_KINDS),
-    "finetune.schedule.warmup_steps": ("scalar", int),
-    "finetune.schedule.total_steps": ("scalar", int),
-    "finetune.loss_threshold": ("scalar", float),
-    "penalty.kind": ("choice", PENALTY_KINDS),
-    "penalty.gamma": ("scalar", float),
-    "penalty.fisher_samples": ("scalar", int),
-    "shifting.k": ("scalar", float),
-    "shifting.t0": ("scalar", int),
-    "seeds": ("seeds", None),
-    "output_dir": ("str", None),
+_int, _float = _number(int), _number(float)
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    parse: Callable
+    default: object
+    attr: str = ""  # attribute path in ExperimentConfig when it differs from the key
+
+
+_KEYS = {
+    "transfer.kind": _Key(_choice(TASK_KINDS), _REQUIRED),
+    "transfer.dim": _Key(_int, 0),
+    "transfer.rho": _Key(_float, _REQUIRED),
+    "transfer.seed": _Key(_int, 0),
+    "transfer.n_samples": _Key(_int, 512),
+    "transfer.dim_in": _Key(_int, 0),
+    "transfer.hidden": _Key(_int, 0),
+    "transfer.classes": _Key(_int, 0),
+    "transfer.noise_std": _Key(_float, None),
+    "transfer.center_scale": _Key(_float, 1.0),
+    "transfer.label_noise": _Key(_float, 0.0),
+    "pretrain.steps": _Key(_int, _REQUIRED),
+    "pretrain.batch_size": _Key(_int, 32),
+    "pretrain.optimizer.alpha": _Key(_float, 0.01),
+    "pretrain.optimizer.beta1": _Key(_float, 0.9),
+    "pretrain.optimizer.beta2": _Key(_float, 0.999),
+    "pretrain.optimizer.eps": _Key(_float, 1e-8),
+    "finetune.steps": _Key(_int, _REQUIRED),
+    "finetune.batch_size": _Key(_int, 32),
+    "finetune.optimizer.kind": _Key(_choice(STEPPER_KINDS), "adam", "finetune.optimizer_kind"),
+    "finetune.optimizer.alpha": _Key(_float, 0.001),
+    "finetune.optimizer.beta1": _Key(_float, 0.9),
+    "finetune.optimizer.beta2": _Key(_float, 0.999),
+    "finetune.optimizer.eps": _Key(_float, 1e-8),
+    "finetune.optimizer.weight_decay": _Key(_float, 0.0, "finetune.weight_decay"),
+    "finetune.init": _Key(_choice(INIT_KINDS), "pretrained"),
+    "finetune.schedule.kind": _Key(_choice(SCHEDULE_KINDS), "constant"),
+    "finetune.schedule.warmup_steps": _Key(_int, 0),
+    "finetune.schedule.total_steps": _Key(_int, 0),
+    "finetune.loss_threshold": _Key(_float, None),
+    "penalty.kind": _Key(_choice(PENALTY_KINDS), "isotropic"),
+    "penalty.gamma": _Key(_float, 5000.0),
+    "penalty.fisher_samples": _Key(_int, 1000),
+    "shifting.k": _Key(_float, 0.1),
+    "shifting.t0": _Key(_int, 250),
+    "seeds": _Key(_list_of(_int), (0,)),
+    "output_dir": _Key(_text, _REQUIRED),
 }
+_ATTRS = {key: row.attr or key for key, row in _KEYS.items()}
+_GET_ALL = attrgetter(*_ATTRS.values())  # one call fetches every key's value, in table order
+_MLP_DIMS = ("transfer.dim_in", "transfer.hidden", "transfer.classes")
+_MINIMUMS = (("pretrain.steps", 1), ("finetune.steps", 1), ("pretrain.batch_size", 1),
+             ("finetune.batch_size", 1), ("penalty.gamma", 0),
+             ("finetune.optimizer.weight_decay", 0))
+
+
+def _lines(flat: dict) -> str:
+    return "\n".join(f"{k}={v}" for k, v in sorted(flat.items()))
+
+
+def _read_file(path: str | os.PathLike, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_pairs(text: str, known, where: str) -> dict:
+    """Raw key -> value strings of key=value lines; unknown or repeated keys
+    are errors, blank lines and # comments are skipped."""
+    pairs = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where} {lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ConfigError(f"{where} {lineno}: unknown key {key!r}")
+        if key in pairs:
+            raise ConfigError(f"{where} {lineno}: duplicate key {key!r}")
+        pairs[key] = raw
+    return pairs
 
 
 def parse_flat_text(text: str) -> dict:
     """Parse key=value lines into a typed dict, rejecting unknown keys."""
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        style, arg = _SCHEMA[key]
-        if style == "choice":
-            values[key] = _parse_choice(key, raw, arg)
-        elif style == "scalar":
-            values[key] = _parse_scalar(key, raw, arg)
-        elif style == "seeds":
-            try:
-                values[key] = tuple(int(part) for part in raw.split(",") if part.strip())
-            except ValueError as exc:
-                raise ConfigError(f"seeds: cannot parse {raw!r}") from exc
-            if not values[key]:
-                raise ConfigError("seeds: need at least one seed")
+    return {key: _KEYS[key].parse(key, raw)
+            for key, raw in _read_pairs(text, _KEYS, "line").items()}
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """Instantiate dataclass cls from attribute-path -> value entries,
+    recursing into fields that are themselves dataclasses."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        path = prefix + f.name
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, values, path + ".")
         else:
-            values[key] = raw
-    return values
-
-
-def _require(values: dict, key: str):
-    if key not in values:
-        raise ConfigError(f"missing required key {key!r}")
-    return values[key]
+            kwargs[f.name] = values[path]
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from exc
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    kind = _require(values, "transfer.kind")
-    transfer = TransferSpec(
-        kind=kind,
-        rho=_require(values, "transfer.rho"),
-        seed=values.get("transfer.seed", 0),
-        dim=values.get("transfer.dim", 0),
-        n_samples=values.get("transfer.n_samples", 512),
-        dim_in=values.get("transfer.dim_in", 0),
-        hidden=values.get("transfer.hidden", 0),
-        classes=values.get("transfer.classes", 0),
-        noise_std=values.get("transfer.noise_std"),
-        center_scale=values.get("transfer.center_scale", 1.0),
-        label_noise=values.get("transfer.label_noise", 0.0),
-    )
-    if kind == "mlp-1h":
-        if min(transfer.dim_in, transfer.hidden, transfer.classes) < 1:
+    full = {}
+    for key, row in _KEYS.items():
+        if key in values:
+            full[key] = values[key]
+        elif row.default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        else:
+            full[key] = row.default
+    if full["transfer.kind"] == "mlp-1h":
+        dim_in, hidden, classes = (full[key] for key in _MLP_DIMS)
+        if min(dim_in, hidden, classes) < 1:
             raise ConfigError("mlp-1h needs transfer.dim_in/hidden/classes >= 1")
-        derived = transfer.hidden * (transfer.dim_in + 1) + transfer.classes * (transfer.hidden + 1)
-        if transfer.dim not in (0, derived):
-            raise ConfigError(f"transfer.dim={transfer.dim} but mlp parameter count is {derived}")
-        transfer.dim = derived
-    elif transfer.dim < 1:
+        derived = hidden * (dim_in + 1) + classes * (hidden + 1)
+        if full["transfer.dim"] not in (0, derived):
+            raise ConfigError(f"transfer.dim={full['transfer.dim']} but mlp parameter "
+                              f"count is {derived}")
+        full["transfer.dim"] = derived
+    elif full["transfer.dim"] < 1:
         raise ConfigError("transfer.dim must be >= 1")
-    if not (0.0 <= transfer.rho <= 1.0):
+    if not (0.0 <= full["transfer.rho"] <= 1.0):
         raise ConfigError("transfer.rho must lie in [0, 1]")
-
-    def adam_cfg(prefix: str, default_alpha: float) -> AdamConfig:
-        try:
-            return AdamConfig(
-                alpha=values.get(f"{prefix}.alpha", default_alpha),
-                beta1=values.get(f"{prefix}.beta1", 0.9),
-                beta2=values.get(f"{prefix}.beta2", 0.999),
-                eps=values.get(f"{prefix}.eps", 1e-8),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}: {exc}") from exc
-
-    pretrain = PretrainSpec(
-        steps=_require(values, "pretrain.steps"),
-        batch_size=values.get("pretrain.batch_size", 32),
-        optimizer=adam_cfg("pretrain.optimizer", 0.01),
-    )
-    try:
-        schedule = ScheduleMultiplier(
-            kind=values.get("finetune.schedule.kind", "constant"),
-            warmup_steps=values.get("finetune.schedule.warmup_steps", 0),
-            total_steps=values.get("finetune.schedule.total_steps", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"finetune.schedule: {exc}") from exc
-    finetune = FinetuneSpec(
-        steps=_require(values, "finetune.steps"),
-        batch_size=values.get("finetune.batch_size", 32),
-        optimizer_kind=values.get("finetune.optimizer.kind", "adam"),
-        optimizer=adam_cfg("finetune.optimizer", 0.001),
-        weight_decay=values.get("finetune.optimizer.weight_decay", 0.0),
-        init=values.get("finetune.init", "pretrained"),
-        schedule=schedule,
-        loss_threshold=values.get("finetune.loss_threshold"),
-    )
-    penalty = PenaltySpec(
-        kind=values.get("penalty.kind", "isotropic"),
-        gamma=values.get("penalty.gamma", 5000.0),
-        fisher_samples=values.get("penalty.fisher_samples", 1000),
-    )
-    if penalty.gamma < 0:
-        raise ConfigError("penalty.gamma must be >= 0")
-    try:
-        shifting = AnnealSchedule(k=values.get("shifting.k", 0.1),
-                                  t0=values.get("shifting.t0", 250))
-    except ValueError as exc:
-        raise ConfigError(f"shifting: {exc}") from exc
-
-    for steps_key, steps in (("pretrain.steps", pretrain.steps),
-                             ("finetune.steps", finetune.steps)):
-        if steps < 1:
-            raise ConfigError(f"{steps_key} must be >= 1")
-    for bs_key, bs in (("pretrain.batch_size", pretrain.batch_size),
-                       ("finetune.batch_size", finetune.batch_size)):
-        if bs < 1:
-            raise ConfigError(f"{bs_key} must be >= 1")
-    if finetune.weight_decay < 0:
-        raise ConfigError("finetune.optimizer.weight_decay must be >= 0")
-
-    return ExperimentConfig(
-        transfer=transfer,
-        pretrain=pretrain,
-        finetune=finetune,
-        penalty=penalty,
-        shifting=shifting,
-        seeds=values.get("seeds", (0,)),
-        output_dir=_require(values, "output_dir"),
-    )
+    for key, low in _MINIMUMS:
+        if full[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    return _build(ExperimentConfig, {_ATTRS[key]: value for key, value in full.items()})
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return config_from_values(parse_flat_text(text))
+    return config_from_values(parse_flat_text(_read_file(path, "config")))
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    return "\n".join(f"{k}={v}" for k, v in sorted(cfg.to_flat().items())) + "\n"
+    return _lines(cfg.to_flat()) + "\n"
 
 
-_GRID_SCHEMA = {"k": float, "t0": int, "gamma": float, "seeds": int}
+_GRID_KEYS = {"k": _list_of(_float), "t0": _list_of(_int),
+              "gamma": _list_of(_float), "seeds": _list_of(_int)}
 
 
 def load_grid(path: str | os.PathLike) -> dict:
     """Sweep grid file: comma-separated lists for k, t0, gamma, seeds."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
-    grid = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"grid line {lineno}: expected key=value")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _GRID_SCHEMA:
-            raise ConfigError(f"grid line {lineno}: unknown key {key!r}")
-        cast = _GRID_SCHEMA[key]
-        try:
-            grid[key] = tuple(cast(part) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"grid {key}: cannot parse {raw!r}") from exc
-        if not grid[key]:
-            raise ConfigError(f"grid {key}: empty list")
-    for key in _GRID_SCHEMA:
-        grid.setdefault(key, None)
-    return grid
+    pairs = _read_pairs(_read_file(path, "grid"), _GRID_KEYS, "grid line")
+    return {key: parse(f"grid {key}", pairs[key]) if key in pairs else None
+            for key, parse in _GRID_KEYS.items()}

@@ -386,18 +386,16 @@ def _best_configuration(rows):
 # --- reporting ---------------------------------------------------------------
 
 def _discover_runs(run_dir: Path):
+    """Completed runs only: a failed run leaves a partial trace but no summary."""
     runs = []
     for config_path in sorted(run_dir.rglob("config.json")):
         trace_path = config_path.parent / "trace.csv"
-        if not trace_path.exists():
-            continue
-        flat = json.loads(config_path.read_text())
         summary_path = config_path.parent / "summary.json"
-        summary = None
-        if summary_path.exists():
-            summary = RunSummary.from_dict(json.loads(summary_path.read_text()))
-        runs.append({"flat": flat, "trace": read_trace(trace_path),
-                     "summary": summary, "dir": config_path.parent})
+        if not (trace_path.exists() and summary_path.exists()):
+            continue
+        runs.append({"flat": json.loads(config_path.read_text()),
+                     "trace": read_trace(trace_path),
+                     "summary": RunSummary.from_dict(json.loads(summary_path.read_text()))})
     return runs
 
 
@@ -417,7 +415,7 @@ def report(run_dir: str | os.PathLike) -> list:
     run_dir = Path(run_dir)
     runs = _discover_runs(run_dir)
     if not runs:
-        raise NoDataError(f"no trace/config pairs found under {run_dir}")
+        raise NoDataError(f"no completed runs (config, trace and summary) under {run_dir}")
     written = []
 
     # (a) per-k learning curves
@@ -446,9 +444,8 @@ def report(run_dir: str | os.PathLike) -> list:
     written.append(curve_path)
 
     # (b) median-over-seeds summary per configuration
-    summarable = [r for r in runs if r["summary"] is not None]
     by_cfg = {}
-    for run in summarable:
+    for run in runs:
         by_cfg.setdefault(run["summary"].config_hash, []).append(run)
     summary_path = run_dir / "summary_median.csv"
     with open(summary_path, "w", newline="") as fh:
@@ -473,7 +470,7 @@ def report(run_dir: str | os.PathLike) -> list:
     written.append(summary_path)
 
     # (c) init-strategy comparison when both modes are present
-    inits = {r["flat"]["finetune.init"] for r in summarable}
+    inits = {r["flat"]["finetune.init"] for r in runs}
     if {"random", "pretrained"} <= inits:
         comparison_path = run_dir / "init_comparison.csv"
         metrics = (("final_target_loss", lambda s: s.final_target_loss),
@@ -484,7 +481,7 @@ def report(run_dir: str | os.PathLike) -> list:
             writer.writerow(["metric", "init", "median"])
             for name, getter in metrics:
                 for init in ("random", "pretrained"):
-                    vals = [getter(r["summary"]) for r in summarable
+                    vals = [getter(r["summary"]) for r in runs
                             if r["flat"]["finetune.init"] == init]
                     writer.writerow([name, init, _fmt(float(np.median(vals)))])
         written.append(comparison_path)

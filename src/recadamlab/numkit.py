@@ -1,11 +1,10 @@
 """Flat float64 parameter vectors and a deterministic random source.
 
-Parameter vectors are plain 1-D numpy float64 arrays; ``param_vector``
-validates and freezes them on the way in.  Randomness comes from the
-Philox 4x64 counter-based generator, so traces reproduce bit-for-bit
-across runs and platforms.  Child streams are derived from the parent
-seed and a label only (never from stream position), which makes any
-generated object replayable from its recorded seed.
+Parameter vectors are plain 1-D numpy float64 arrays.  Randomness comes
+from the Philox 4x64 counter-based generator, so traces reproduce
+bit-for-bit across runs and platforms.  Child streams are derived from
+the parent seed and a label only (never from stream position), which
+makes any generated object replayable from its recorded seed.
 """
 
 import hashlib
@@ -14,34 +13,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-# Elementwise finiteness checks on construction/return values. Tests keep
-# this on; hot loops may disable it via set_validation(False).
-_VALIDATE = True
-
-
-def set_validation(enabled: bool) -> None:
-    global _VALIDATE
-    _VALIDATE = bool(enabled)
-
-
-def validation_enabled() -> bool:
-    return _VALIDATE
-
 
 def ensure_finite(values: np.ndarray, what: str = "vector", step: int | None = None) -> None:
     """Raise NumericError if any element is NaN or infinite."""
-    if _VALIDATE and not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite values in {what}", step=step)
-
-
-def param_vector(values) -> np.ndarray:
-    """Validate and freeze a sequence as a float64 parameter vector."""
-    arr = np.array(values, dtype=np.float64).reshape(-1)
-    if arr.size < 1:
-        raise DimensionError("parameter vector must have length >= 1")
-    ensure_finite(arr, "parameter vector")
-    arr.flags.writeable = False
-    return arr
 
 
 def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
@@ -53,16 +29,6 @@ def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two equal-length vectors."""
     check_same_length(a, b)
     return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return alpha * x + y elementwise."""
-    check_same_length(x, y)
-    if not np.isfinite(alpha):
-        raise NumericError("non-finite scaling factor in axpy")
-    out = alpha * x + y
-    ensure_finite(out, "axpy result")
-    return out
 
 
 def _child_seed(seed: int, label: str) -> int:

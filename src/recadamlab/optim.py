@@ -119,7 +119,7 @@ def adamw_step(theta, state: AdamState, config: AdamConfig, eta_t: float, grad,
     return theta_new, AdamState(t, m, v)
 
 
-def _check_penalty_inputs(theta, penalty_grad, lambda_t: float):
+def _check_penalty_inputs(theta, state: AdamState, penalty_grad, lambda_t: float):
     if penalty_grad is None:
         raise ValueError("penalty_grad is required for the recall variants")
     check_same_length(theta, penalty_grad)
@@ -127,13 +127,13 @@ def _check_penalty_inputs(theta, penalty_grad, lambda_t: float):
     # float64 for large |k (t - t0)|; both closures are admitted
     if not (0.0 <= lambda_t <= 1.0):
         raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
-    ensure_finite(penalty_grad, "penalty gradient")
+    ensure_finite(penalty_grad, "penalty gradient", step=state.t + 1)
 
 
 def coupled_recadam_step(theta, state: AdamState, config: AdamConfig, eta_t: float,
                          grad, lambda_t: float, penalty_grad):
     """Penalty folded into the gradient before the moments (baseline)."""
-    _check_penalty_inputs(theta, penalty_grad, lambda_t)
+    _check_penalty_inputs(theta, state, penalty_grad, lambda_t)
     composite = lambda_t * grad + (1 - lambda_t) * penalty_grad
     return adam_step(theta, state, config, eta_t, composite)
 
@@ -155,7 +155,7 @@ def recadam_step_parts(theta, state: AdamState, config: AdamConfig, eta_t: float
     adam_term    = eta_t * (lambda_t * alpha * m_hat / (sqrt(v_hat) + eps))
     penalty_term = eta_t * ((1 - lambda_t) * penalty_grad)
     """
-    _check_penalty_inputs(theta, penalty_grad, lambda_t)
+    _check_penalty_inputs(theta, state, penalty_grad, lambda_t)
     _check_step_inputs(theta, state, grad)
     t, m, v, mhat, vhat = _moments(state, config, grad)
     adam_term = eta_t * (lambda_t * config.alpha * mhat / (np.sqrt(vhat) + config.eps))

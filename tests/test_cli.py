@@ -67,6 +67,9 @@ def test_config_error_exit_code(tmp_path):
     bad.write_text("transfer.kind=quadratic\nbogus.key=1\n")
     assert main(["pretrain", "--config", str(bad)]) == 2
     assert main(["pretrain", "--config", str(tmp_path / "missing.cfg")]) == 2
+    bad.write_text(CONFIG.format(out=tmp_path / "exp").replace("penalty.gamma=1.0",
+                                                               "penalty.gamma=inf"))
+    assert main(["pretrain", "--config", str(bad)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -91,11 +94,19 @@ def test_no_data_exit_code(tmp_path):
 
 
 def test_module_invocation(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import recadamlab
+
+    # the child finds the package where this process imported it, installed or not
+    src = str(Path(recadamlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "recadamlab", "report", "--dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 4
     assert "no data" in proc.stderr

@@ -62,6 +62,15 @@ def test_bad_value_types():
         parse_flat_text("seeds=a,b\n")
 
 
+@pytest.mark.parametrize("key", ["penalty.gamma", "finetune.optimizer.weight_decay",
+                                 "transfer.center_scale", "transfer.label_noise",
+                                 "transfer.noise_std", "finetune.loss_threshold"])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_non_finite_floats_rejected(key, raw):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_flat_text(f"{key}={raw}\n")
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="transfer.kind"):
         config_from_values(parse_flat_text("output_dir=x\n"))
@@ -130,3 +139,122 @@ def test_grid_file(tmp_path):
     path.write_text("k=\n")
     with pytest.raises(ConfigError):
         load_grid(path)
+    path.write_text("gamma=1.0,inf\n")
+    with pytest.raises(ConfigError, match="not a finite number"):
+        load_grid(path)
+    path.write_text("k=0.1\nk=0.2\n")
+    with pytest.raises(ConfigError, match="duplicate"):
+        load_grid(path)
+
+
+MLP_TEXT = """
+transfer.kind=mlp-1h
+transfer.rho=0.7
+transfer.dim_in=10
+transfer.hidden=16
+transfer.classes=3
+transfer.noise_std=0.5
+finetune.loss_threshold=0.25
+pretrain.steps=10
+finetune.steps=10
+output_dir=out
+"""
+
+
+def _pinned_hash_cases():
+    from test_acceptance import MLP78_CFG, MLP9_CFG, SWEEP_CFG
+    from test_cli import CONFIG
+    from test_harness import QUAD_BASE
+    return [
+        (MLP78_CFG.format(k=0.05, out="out"), "683d9a4c9c48"),
+        (MLP9_CFG.format(kind="adam", init="pretrained", out="out"), "d18ef9b74982"),
+        (MLP9_CFG.format(kind="recadam", init="random", out="out"), "552a3f4155e1"),
+        (SWEEP_CFG.format(out="out"), "366dd0a90006"),
+        (CONFIG.format(out="out"), "fdeeaace2e06"),
+        (QUAD_BASE.format(out="out"), "b750f36edac2"),
+        (BASE, "1ef488aa6e74"),
+        (MLP_TEXT, "c4663b688880"),
+    ]
+
+
+def test_config_hash_is_pinned():
+    # run directories and summaries are keyed by these hashes
+    for text, expected in _pinned_hash_cases():
+        assert config_from_values(parse_flat_text(text)).config_hash() == expected
+
+
+def test_format_config_is_pinned():
+    mlp = config_from_values(parse_flat_text(MLP_TEXT))
+    assert format_config(mlp) == """\
+finetune.batch_size=32
+finetune.init=pretrained
+finetune.loss_threshold=0.25
+finetune.optimizer.alpha=0.001
+finetune.optimizer.beta1=0.9
+finetune.optimizer.beta2=0.999
+finetune.optimizer.eps=1e-08
+finetune.optimizer.kind=adam
+finetune.optimizer.weight_decay=0.0
+finetune.schedule.kind=constant
+finetune.schedule.total_steps=0
+finetune.schedule.warmup_steps=0
+finetune.steps=10
+output_dir=out
+penalty.fisher_samples=1000
+penalty.gamma=5000.0
+penalty.kind=isotropic
+pretrain.batch_size=32
+pretrain.optimizer.alpha=0.01
+pretrain.optimizer.beta1=0.9
+pretrain.optimizer.beta2=0.999
+pretrain.optimizer.eps=1e-08
+pretrain.steps=10
+seeds=0
+shifting.k=0.1
+shifting.t0=250
+transfer.center_scale=1.0
+transfer.classes=3
+transfer.dim_in=10
+transfer.hidden=16
+transfer.kind=mlp-1h
+transfer.label_noise=0.0
+transfer.n_samples=512
+transfer.noise_std=0.5
+transfer.rho=0.7
+transfer.seed=0
+"""
+    quad = config_from_values(parse_flat_text(BASE))
+    assert format_config(quad) == """\
+finetune.batch_size=32
+finetune.init=pretrained
+finetune.optimizer.alpha=0.05
+finetune.optimizer.beta1=0.9
+finetune.optimizer.beta2=0.999
+finetune.optimizer.eps=1e-08
+finetune.optimizer.kind=recadam
+finetune.optimizer.weight_decay=0.0
+finetune.schedule.kind=constant
+finetune.schedule.total_steps=0
+finetune.schedule.warmup_steps=0
+finetune.steps=200
+output_dir=out
+penalty.fisher_samples=1000
+penalty.gamma=1.0
+penalty.kind=isotropic
+pretrain.batch_size=32
+pretrain.optimizer.alpha=0.1
+pretrain.optimizer.beta1=0.9
+pretrain.optimizer.beta2=0.999
+pretrain.optimizer.eps=1e-08
+pretrain.steps=500
+seeds=0,1,2
+shifting.k=0.1
+shifting.t0=50
+transfer.center_scale=1.0
+transfer.dim=12
+transfer.kind=quadratic
+transfer.label_noise=0.0
+transfer.n_samples=512
+transfer.rho=0.7
+transfer.seed=3
+"""

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -248,7 +249,7 @@ class TestSweep:
                                 "seeds": (0,)})
         assert len(summaries) == 1
         text = (Path(cfg.output_dir) / "summaries.csv").read_text()
-        assert "failed:step" in text
+        assert re.search(r"failed:step\d+,", text)
         assert text.count("\n") == 3  # header + ok row + failed row
 
     def test_reuses_existing_checkpoint(self, tmp_path):
@@ -311,6 +312,21 @@ class TestReport:
                        "final_dist_to_pretrained"):
             rows = [l for l in lines[1:] if l.startswith(metric + ",")]
             assert len(rows) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_runs_are_left_out_of_the_curves(self, tmp_path):
+        # gamma=50 with a constant schedule diverges part-way, leaving
+        # partial traces; the curves come from the completed runs only
+        cfg = quad_cfg(tmp_path, **{"transfer.dim": 6})
+        sweep(cfg, {"k": (0.1,), "t0": (100,), "gamma": (1.0, 50.0), "seeds": (0, 1)})
+        out = Path(cfg.output_dir)
+        statuses = (out / "summaries.csv").read_text()
+        assert statuses.count("failed:step93,") == 2
+        report(out)
+        assert len((out / "learning_curves.csv").read_text().splitlines()) == 1 + 300
+        # a directory holding only a failed run has nothing to report
+        with pytest.raises(NoDataError):
+            report(out / "runs" / "k0.1-t100-g50-s0")
 
     def test_empty_directory_raises_no_data(self, tmp_path):
         with pytest.raises(NoDataError):

@@ -2,40 +2,39 @@ import numpy as np
 import pytest
 
 from recadamlab.errors import DimensionError, NumericError
-from recadamlab.numkit import RandomSource, axpy, l2_distance, param_vector
+from recadamlab.numkit import RandomSource, ensure_finite, l2_distance
 
 # frozen with mpmath (50 digits): sqrt(1000) = 31.62277660168379331998...
 SQRT_1000 = 31.622776601683793
 
 
 def test_l2_identity_is_exactly_zero():
-    a = param_vector([0.3, -1.7, 2.2])
+    a = np.array([0.3, -1.7, 2.2])
     assert l2_distance(a, a) == 0.0
 
 
 def test_l2_three_four_five():
-    assert l2_distance(param_vector([3.0, 0.0]), param_vector([0.0, 4.0])) == 5.0
+    assert l2_distance(np.array([3.0, 0.0]), np.array([0.0, 4.0])) == 5.0
 
 
 def test_l2_high_dim_frozen_value():
-    ones = param_vector(np.ones(1000))
-    zeros = param_vector(np.zeros(1000))
+    ones = np.ones(1000)
+    zeros = np.zeros(1000)
     assert l2_distance(ones, zeros) == pytest.approx(SQRT_1000, rel=1e-12)
 
 
 def test_l2_symmetry_exact():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        a = param_vector(rng.normal(size=17))
-        b = param_vector(rng.normal(size=17))
+        a = rng.normal(size=17)
+        b = rng.normal(size=17)
         assert l2_distance(a, b) == l2_distance(b, a)
 
 
 def test_l2_triangle_inequality_within_4_ulp():
     rng = np.random.default_rng(11)
     for _ in range(1000):
-        a, b, c = (param_vector(rng.normal(size=8) * 10 ** rng.uniform(-3, 3))
-                   for _ in range(3))
+        a, b, c = (rng.normal(size=8) * 10 ** rng.uniform(-3, 3) for _ in range(3))
         lhs = l2_distance(a, c)
         rhs = l2_distance(a, b) + l2_distance(b, c)
         assert lhs <= rhs + 4 * np.spacing(rhs)
@@ -43,37 +42,7 @@ def test_l2_triangle_inequality_within_4_ulp():
 
 def test_l2_length_mismatch():
     with pytest.raises(DimensionError):
-        l2_distance(param_vector([1.0]), param_vector([1.0, 2.0]))
-
-
-def test_axpy_zero_alpha_returns_y():
-    x = param_vector([5.0, -3.0])
-    y = param_vector([1.0, 2.0])
-    assert np.array_equal(axpy(0.0, x, y), y)
-
-
-def test_axpy_examples():
-    assert np.array_equal(axpy(1.0, param_vector([1, 2]), param_vector([3, 4])),
-                          [4.0, 6.0])
-    assert np.array_equal(axpy(-2.0, param_vector([1, 1]), param_vector([2, 2])),
-                          [0.0, 0.0])
-
-
-def test_axpy_errors():
-    with pytest.raises(DimensionError):
-        axpy(1.0, param_vector([1.0]), param_vector([1.0, 2.0]))
-    with pytest.raises(NumericError):
-        axpy(float("inf"), param_vector([1.0]), param_vector([1.0]))
-
-
-def test_param_vector_validation():
-    with pytest.raises(NumericError):
-        param_vector([1.0, float("nan")])
-    with pytest.raises(DimensionError):
-        param_vector([])
-    vec = param_vector([1.0, 2.0])
-    with pytest.raises(ValueError):
-        vec[0] = 9.0  # frozen after construction
+        l2_distance(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 def test_random_source_same_seed_same_stream():
@@ -100,14 +69,10 @@ def test_random_source_child_streams_look_independent():
     assert abs(corr) < 0.02
 
 
-def test_validation_toggle_skips_finite_checks():
-    from recadamlab.numkit import set_validation, validation_enabled
-    assert validation_enabled()
-    try:
-        set_validation(False)
-        vec = param_vector([1.0, float("nan")])  # accepted in release mode
-        assert vec.size == 2
-    finally:
-        set_validation(True)
-    with pytest.raises(NumericError):
-        param_vector([1.0, float("nan")])
+
+def test_ensure_finite_always_checks():
+    ensure_finite(np.array([1.0, -2.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError) as err:
+            ensure_finite(np.array([1.0, bad]), step=7)
+        assert err.value.step == 7

@@ -244,6 +244,13 @@ class TestRecallVariants:
             coupled_recadam_step(np.zeros(2), AdamState.fresh(2), DEFAULTS, 1.0,
                                  np.zeros(2), 1.5, np.zeros(2))
 
+    @pytest.mark.parametrize("stepper", [recadam_step, coupled_recadam_step])
+    def test_nonfinite_penalty_grad_raises_with_step_index(self, stepper):
+        with pytest.raises(NumericError) as err:
+            stepper(np.zeros(2), AdamState.fresh(2), DEFAULTS, 1.0, np.zeros(2), 0.5,
+                    np.array([1.0, np.inf]))
+        assert err.value.step == 1
+
 
 class TestSchedule:
     def test_constant(self):
