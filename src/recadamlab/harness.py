@@ -5,9 +5,10 @@ consumed: step index t, lambda(t), batch target loss and penalty value at
 theta_{t-1}, their lambda-mixture, distance to the pretrained anchor,
 gradient norm, and eta_t.  Trace files are CSV with 17-significant-digit
 floats and are written row by row, so an aborted run leaves a usable
-partial trace.  RunSummary.final_target_loss is evaluated on the full
-dataset at the final parameters; best/steps-to-threshold come from the
-per-step batch losses in the trace.
+partial trace; a step that fails its finiteness checks writes no row.
+RunSummary.final_target_loss is evaluated on the full dataset at the
+final parameters; best/steps-to-threshold come from the per-step batch
+losses in the trace.
 """
 
 import csv
@@ -27,7 +28,10 @@ from .errors import ConfigError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
-from .recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
+# penalty_loss and penalty_grad are not called here, but perfbench/tracer.py
+# wraps them under these names, so they stay importable from this module
+from .recall import (PenaltyModel, _penalty_terms, estimate_diag_fisher,  # noqa: F401
+                     penalty_grad, penalty_loss)
 from .shifting import composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import TransferPair, batch_stream, gen_transfer_pair
@@ -128,9 +132,25 @@ def build_penalty(cfg: ExperimentConfig, pair: TransferPair,
     return PenaltyModel.diagonal_fisher(theta_star, fisher, n_obs)
 
 
-def _run_loop(task, theta0, steps, batch_size, stepper, writer, rng_batches,
-              theta_star, pen):
-    """Shared training loop; returns (trace, theta_final)."""
+# Per optimizer kind: (uses the recall penalty, stepper).  The lambdas call
+# the steppers by their names in this module, which perfbench/tracer.py wraps.
+_STEPPERS = {
+    "adam": (False, lambda th, st, cfg, wd, eta, g, lam, pg:
+             adam_step(th, st, cfg, eta, g)),
+    "adamw": (False, lambda th, st, cfg, wd, eta, g, lam, pg:
+              adamw_step(th, st, cfg, eta, g, wd)),
+    "recadam": (True, lambda th, st, cfg, wd, eta, g, lam, pg:
+                recadam_step(th, st, cfg, eta, g, lam, pg)),
+    "recadam-coupled": (True, lambda th, st, cfg, wd, eta, g, lam, pg:
+                        coupled_recadam_step(th, st, cfg, eta, g, lam, pg)),
+}
+
+
+def _run_loop(task, theta0, steps, batch_size, rng_batches, writer, pen, kind,
+              adam_cfg, weight_decay=0.0, schedule=ScheduleMultiplier(), anneal=None):
+    """Shared training loop; returns (trace, theta_final).  The stepper checks
+    the gradients before the step's row is recorded."""
+    recall, step = _STEPPERS[kind]
     trace = TrainingTrace()
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.size)
@@ -141,51 +161,21 @@ def _run_loop(task, theta0, steps, batch_size, stepper, writer, rng_batches,
         for t in range(1, steps + 1):
             batch = next(batches) if batches is not None else None
             loss, grad = task.loss_and_grad(theta, batch)
-            if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
-                raise NumericError(f"non-finite loss/gradient at step {t}", step=t)
-            lam, eta, pgrad = stepper.prepare(t, theta)
-            pval = penalty_loss(pen, theta)
-            row = (t, lam, loss, pval, composite_loss(lam, loss, pval),
-                   l2_distance(theta, theta_star), float(np.sqrt(np.sum(grad * grad))),
-                   eta)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at step {t}", step=t)
+            eta = schedule_multiplier(schedule, t)
+            lam = lambda_at(anneal, t) if recall else 1.0
+            pval, pgrad, dist = _penalty_terms(pen, theta, with_grad=recall)
+            row = (t, lam, loss, pval, composite_loss(lam, loss, pval), dist,
+                   float(np.sqrt(np.sum(grad * grad))), eta)
+            theta, state = step(theta, state, adam_cfg, weight_decay, eta, grad, lam, pgrad)
             trace.append(row)
             if writer is not None:
                 writer.write_row(row)
-            theta, state = stepper.step(theta, state, eta, grad, lam, pgrad)
     finally:
         if writer is not None:
             writer.close()
     return trace, theta
-
-
-class _Stepper:
-    """Binds optimizer kind + config + schedules into per-step callables."""
-
-    def __init__(self, kind, adam_cfg, weight_decay, schedule, anneal, pen):
-        self.kind = kind
-        self.adam_cfg = adam_cfg
-        self.weight_decay = weight_decay
-        self.schedule = schedule
-        self.anneal = anneal
-        self.pen = pen
-
-    def prepare(self, t: int, theta):
-        eta = schedule_multiplier(self.schedule, t)
-        if self.kind in ("recadam", "recadam-coupled"):
-            lam = lambda_at(self.anneal, t)
-            pgrad = penalty_grad(self.pen, theta)
-        else:
-            lam, pgrad = 1.0, None
-        return lam, eta, pgrad
-
-    def step(self, theta, state, eta, grad, lam, pgrad):
-        if self.kind == "adam":
-            return adam_step(theta, state, self.adam_cfg, eta, grad)
-        if self.kind == "adamw":
-            return adamw_step(theta, state, self.adam_cfg, eta, grad, self.weight_decay)
-        if self.kind == "recadam":
-            return recadam_step(theta, state, self.adam_cfg, eta, grad, lam, pgrad)
-        return coupled_recadam_step(theta, state, self.adam_cfg, eta, grad, lam, pgrad)
 
 
 def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
@@ -197,18 +187,15 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     task = pair.source
     root = RandomSource(cfg.transfer.seed)
     theta0 = RANDOM_INIT_STD * root.child("pretrain-init").normal(task.dim)
-    zeros = np.zeros(task.dim)
     writer = None
     if write_outputs:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         writer = TraceWriter(out / "pretrain_trace.csv")
-    no_pen = PenaltyModel.none(zeros)
-    stepper = _Stepper("adam", cfg.pretrain.optimizer, 0.0,
-                       ScheduleMultiplier(), None, no_pen)
-    trace, theta = _run_loop(task, theta0, cfg.pretrain.steps,
-                             cfg.pretrain.batch_size, stepper, writer,
-                             root.child("pretrain-batches"), zeros, no_pen)
+    trace, theta = _run_loop(task, theta0, cfg.pretrain.steps, cfg.pretrain.batch_size,
+                             root.child("pretrain-batches"), writer,
+                             PenaltyModel.none(np.zeros(task.dim)), "adam",
+                             cfg.pretrain.optimizer)
     theta_star = theta.copy()
     theta_star.flags.writeable = False
     if write_outputs:
@@ -240,14 +227,12 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
         writer = TraceWriter(run_dir / "trace.csv")
         (run_dir / "config.json").write_text(
             json.dumps({**cfg.to_flat(), "run_seed": str(seed)}, sort_keys=True, indent=2))
-    stepper = _Stepper(cfg.finetune.optimizer_kind, cfg.finetune.optimizer,
-                       cfg.finetune.weight_decay, cfg.finetune.schedule,
-                       cfg.shifting, pen)
-    trace, theta = _run_loop(task, theta0, cfg.finetune.steps,
-                             cfg.finetune.batch_size, stepper, writer,
-                             rng.child("batches"), theta_star, pen)
+    ft = cfg.finetune
+    trace, theta = _run_loop(task, theta0, ft.steps, ft.batch_size, rng.child("batches"),
+                             writer, pen, ft.optimizer_kind, ft.optimizer,
+                             ft.weight_decay, ft.schedule, cfg.shifting)
     summary = summarize(trace, task, theta, theta_star, seed, cfg.config_hash(),
-                        cfg.finetune.loss_threshold)
+                        ft.loss_threshold)
     if run_dir is not None:
         (run_dir / "summary.json").write_text(
             json.dumps(summary.to_dict(), sort_keys=True, indent=2))

@@ -1,19 +1,22 @@
 """Optimizer steppers: Adam, AdamW, and the recall-penalty variants.
 
-All steppers are pure functions (theta, state) -> (theta', state').  The
-decoupled variant (``recadam_step``) feeds only the raw task gradient
-through the moment estimates and applies the recall penalty outside the
-adaptive update, so every coordinate is pulled toward the anchor at the
-same rate eta_t * (1 - lambda_t).  The coupled variant folds the penalty
-into the gradient before the moments, which rescales it by 1/sqrt(v_hat)
-per coordinate; it exists as the baseline whose distortion motivates the
-decoupled form.
+All steppers are pure functions (theta, state) -> (theta', state') and thin
+calls into one update core that checks the inputs once, advances the
+moments and returns the adaptive term a = s * m_hat / (sqrt(v_hat) + eps).
+The rule is theta' = theta - eta_t * (a + pull): Adam has s = alpha and no
+pull; AdamW pulls toward 0 with wd * theta; the decoupled ``recadam_step``
+has s = lambda_t * alpha and pulls toward theta* with (1 - lambda_t) *
+penalty_grad, at the same rate on every coordinate.  The coupled baseline
+runs Adam on lambda_t * grad + (1 - lambda_t) * penalty_grad, so the
+moments rescale its penalty by 1/sqrt(v_hat) per coordinate.
 
-With lambda_t == 1.0 both variants reduce bitwise to ``adam_step``, and
-``adamw_step`` with weight_decay == 0.0 does too; the update expressions
-are written so those reductions are exact in floating point.
+Two floating-point associations stay separate, since merging them changes
+the output bits: AdamW computes eta_t * (a + wd * theta), RecAdam eta_t * a
++ eta_t * pull.  With lambda_t == 1.0 (RecAdam, coupled) or weight_decay ==
+0.0 (AdamW) every variant reduces bitwise to ``adam_step``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +35,12 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1/beta2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and > 0")
 
 
 @dataclass
@@ -84,67 +87,64 @@ def schedule_multiplier(sched: ScheduleMultiplier, t: int) -> float:
     return max(0.0, (sched.total_steps - t) / (sched.total_steps - sched.warmup_steps))
 
 
-def _check_step_inputs(theta: np.ndarray, state: AdamState, grad: np.ndarray) -> None:
+def _adaptive_step(theta, state: AdamState, config: AdamConfig, grad,
+                   lambda_t=None, penalty_grad=None, coupled=False):
+    """The update core: (adaptive term, new state).  lambda_t=None is plain
+    Adam; otherwise the recall inputs are checked and mixed in as well."""
+    t = state.t + 1
     check_same_length(theta, grad)
     check_same_length(theta, state.m)
-    ensure_finite(grad, "gradient", step=state.t + 1)
-
-
-def _moments(state: AdamState, config: AdamConfig, g: np.ndarray):
-    t = state.t + 1
-    m = config.beta1 * state.m + (1 - config.beta1) * g
-    v = config.beta2 * state.v + (1 - config.beta2) * (g * g)
+    ensure_finite(grad, "gradient", step=t)
+    scale = config.alpha
+    if lambda_t is not None:
+        if penalty_grad is None:
+            raise ValueError("penalty_grad is required for the recall variants")
+        check_same_length(theta, penalty_grad)
+        # lambda is mathematically in (0, 1) but underflows to exact 0.0/1.0 in
+        # float64 for large |k (t - t0)|; both closures are admitted
+        if not (0.0 <= lambda_t <= 1.0):
+            raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
+        ensure_finite(penalty_grad, "penalty gradient", step=t)
+        if coupled:
+            grad = lambda_t * grad + (1 - lambda_t) * penalty_grad
+        else:
+            scale = lambda_t * config.alpha
+    m = config.beta1 * state.m + (1 - config.beta1) * grad
+    v = config.beta2 * state.v + (1 - config.beta2) * (grad * grad)
     mhat = m / (1 - config.beta1**t)
     vhat = v / (1 - config.beta2**t)
-    return t, m, v, mhat, vhat
+    return scale * mhat / (np.sqrt(vhat) + config.eps), AdamState(t, m, v)
 
 
 def adam_step(theta, state: AdamState, config: AdamConfig, eta_t: float, grad):
     """One vanilla Adam step; eps sits outside the square root."""
-    _check_step_inputs(theta, state, grad)
-    t, m, v, mhat, vhat = _moments(state, config, grad)
-    theta_new = theta - eta_t * (config.alpha * mhat / (np.sqrt(vhat) + config.eps))
-    return theta_new, AdamState(t, m, v)
+    adaptive, state = _adaptive_step(theta, state, config, grad)
+    return theta - eta_t * adaptive, state
 
 
 def adamw_step(theta, state: AdamState, config: AdamConfig, eta_t: float, grad,
                weight_decay: float):
     """Adam plus a decoupled weight-decay term eta_t * wd * theta."""
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be >= 0")
-    _check_step_inputs(theta, state, grad)
-    t, m, v, mhat, vhat = _moments(state, config, grad)
-    theta_new = theta - eta_t * (config.alpha * mhat / (np.sqrt(vhat) + config.eps)
-                                 + weight_decay * theta)
-    return theta_new, AdamState(t, m, v)
-
-
-def _check_penalty_inputs(theta, state: AdamState, penalty_grad, lambda_t: float):
-    if penalty_grad is None:
-        raise ValueError("penalty_grad is required for the recall variants")
-    check_same_length(theta, penalty_grad)
-    # lambda is mathematically in (0, 1) but underflows to exact 0.0/1.0 in
-    # float64 for large |k (t - t0)|; both closures are admitted
-    if not (0.0 <= lambda_t <= 1.0):
-        raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
-    ensure_finite(penalty_grad, "penalty gradient", step=state.t + 1)
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError("weight_decay must be finite and >= 0")
+    adaptive, state = _adaptive_step(theta, state, config, grad)
+    return theta - eta_t * (adaptive + weight_decay * theta), state
 
 
 def coupled_recadam_step(theta, state: AdamState, config: AdamConfig, eta_t: float,
                          grad, lambda_t: float, penalty_grad):
     """Penalty folded into the gradient before the moments (baseline)."""
-    _check_penalty_inputs(theta, state, penalty_grad, lambda_t)
-    composite = lambda_t * grad + (1 - lambda_t) * penalty_grad
-    return adam_step(theta, state, config, eta_t, composite)
+    adaptive, state = _adaptive_step(theta, state, config, grad, lambda_t,
+                                     penalty_grad, coupled=True)
+    return theta - eta_t * adaptive, state
 
 
 def recadam_step(theta, state: AdamState, config: AdamConfig, eta_t: float,
                  grad, lambda_t: float, penalty_grad):
     """Decoupled variant: moments see the raw gradient; the penalty does
     not pass through the adaptive rescaling."""
-    theta_new, state_new, _, _ = recadam_step_parts(
-        theta, state, config, eta_t, grad, lambda_t, penalty_grad)
-    return theta_new, state_new
+    return recadam_step_parts(theta, state, config, eta_t, grad, lambda_t,
+                              penalty_grad)[:2]
 
 
 def recadam_step_parts(theta, state: AdamState, config: AdamConfig, eta_t: float,
@@ -155,10 +155,7 @@ def recadam_step_parts(theta, state: AdamState, config: AdamConfig, eta_t: float
     adam_term    = eta_t * (lambda_t * alpha * m_hat / (sqrt(v_hat) + eps))
     penalty_term = eta_t * ((1 - lambda_t) * penalty_grad)
     """
-    _check_penalty_inputs(theta, state, penalty_grad, lambda_t)
-    _check_step_inputs(theta, state, grad)
-    t, m, v, mhat, vhat = _moments(state, config, grad)
-    adam_term = eta_t * (lambda_t * config.alpha * mhat / (np.sqrt(vhat) + config.eps))
+    adaptive, state = _adaptive_step(theta, state, config, grad, lambda_t, penalty_grad)
+    adam_term = eta_t * adaptive
     penalty_term = eta_t * ((1 - lambda_t) * penalty_grad)
-    theta_new = theta - (adam_term + penalty_term)
-    return theta_new, AdamState(t, m, v), adam_term, penalty_term
+    return theta - (adam_term + penalty_term), state, adam_term, penalty_term

@@ -8,6 +8,7 @@ curvature matrix itself, so the expansion reproduces the loss.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,14 +42,14 @@ class PenaltyModel:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind: {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be finite and >= 0")
         if self.kind == "diagonal-fisher":
             if self.fisher_diag is None:
                 raise ValueError("diagonal-fisher penalty needs fisher_diag")
             check_same_length(self.theta_star, self.fisher_diag)
-            if np.any(self.fisher_diag < 0):
-                raise ValueError("fisher_diag must be elementwise >= 0")
+            if not (np.all(np.isfinite(self.fisher_diag)) and np.all(self.fisher_diag >= 0)):
+                raise ValueError("fisher_diag must be finite and elementwise >= 0")
             if self.n_obs < 1:
                 raise ValueError("n_obs must be >= 1")
 
@@ -66,24 +67,29 @@ class PenaltyModel:
         return cls("diagonal-fisher", theta_star, fisher_diag=fisher_diag, n_obs=n_obs)
 
 
-def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
+def _penalty_terms(pen: PenaltyModel, theta: np.ndarray, with_grad: bool = True):
+    """(penalty value, penalty gradient or None, ||theta - theta_star||),
+    all from one difference vector."""
     check_same_length(theta, pen.theta_star)
-    if pen.kind == "none":
-        return 0.0
     diff = theta - pen.theta_star
+    sq_norm = np.sum(diff * diff)
+    dist = float(np.sqrt(sq_norm))
+    if pen.kind == "none":
+        return 0.0, np.zeros_like(theta) if with_grad else None, dist
     if pen.kind == "isotropic":
-        return 0.5 * pen.gamma * float(np.sum(diff * diff))
-    return 0.5 * pen.n_obs * float(np.sum(pen.fisher_diag * diff * diff))
+        return (0.5 * pen.gamma * float(sq_norm),
+                pen.gamma * diff if with_grad else None, dist)
+    weighted = pen.fisher_diag * diff
+    return (0.5 * pen.n_obs * float(np.sum(weighted * diff)),
+            pen.n_obs * weighted if with_grad else None, dist)
+
+
+def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
+    return _penalty_terms(pen, theta, with_grad=False)[0]
 
 
 def penalty_grad(pen: PenaltyModel, theta: np.ndarray) -> np.ndarray:
-    check_same_length(theta, pen.theta_star)
-    if pen.kind == "none":
-        return np.zeros_like(theta)
-    diff = theta - pen.theta_star
-    if pen.kind == "isotropic":
-        return pen.gamma * diff
-    return pen.n_obs * (pen.fisher_diag * diff)
+    return _penalty_terms(pen, theta)[1]
 
 
 def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,

@@ -1,6 +1,8 @@
 """Binary vector files: 8-byte little-endian length header + float64 data.
 
-Shared by parameter checkpoints and penalty-model sidecar files.
+Shared by parameter checkpoints and penalty-model sidecar files.  A file
+whose size is not exactly 8 + 8 * length bytes is rejected before its
+data is read.
 """
 
 import os
@@ -23,9 +25,9 @@ def read_vector(path: str | os.PathLike) -> np.ndarray:
         if len(header) != 8:
             raise DimensionError(f"truncated vector file: {path}")
         n = int(np.frombuffer(header, dtype="<u8")[0])
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if data.size != n:
+        if os.fstat(fh.fileno()).st_size != 8 + 8 * n:
             raise DimensionError(f"vector file length mismatch: {path}")
+        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
     out = data.astype(np.float64)
     out.flags.writeable = False
     return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from recadamlab.config import config_from_values, parse_flat_text
-from recadamlab.errors import ConfigError, NoDataError
+from recadamlab.errors import ConfigError, DimensionError, NoDataError
 from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair, finetune,
                                 pretrain, read_trace, reference_threshold,
                                 report, sweep)
@@ -51,6 +51,21 @@ class TestStorage:
         raw = path.read_bytes()
         assert len(raw) == 8 + 257 * 8
         assert int.from_bytes(raw[:8], "little") == 257
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "theta.bin"
+        write_vector(path, np.arange(4.0))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DimensionError):
+            read_vector(path)
+
+    @pytest.mark.parametrize("n", [5, 2**61, 2**64 - 1])
+    def test_header_longer_than_file_rejected(self, tmp_path, n):
+        # the length is checked against the file size before any data is read
+        path = tmp_path / "theta.bin"
+        path.write_bytes(n.to_bytes(8, "little") + np.arange(4.0).astype("<f8").tobytes())
+        with pytest.raises(DimensionError):
+            read_vector(path)
 
 
 class TestPretrain:

@@ -74,6 +74,16 @@ class TestPenalty:
         with pytest.raises(ValueError):
             PenaltyModel.diagonal_fisher(np.zeros(2), np.array([1.0, -0.5]), 3)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_gamma_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PenaltyModel.isotropic(np.zeros(2), bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_fisher_diag_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PenaltyModel.diagonal_fisher(np.zeros(2), np.array([1.0, bad]), 3)
+
 
 class TestFisherEstimation:
     def test_degenerate_dataset_gives_zero_fisher(self):

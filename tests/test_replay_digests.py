@@ -1,0 +1,107 @@
+"""Byte-for-byte replay of short fine-tuning runs.
+
+Each case fine-tunes one optimizer kind under one penalty for at most 200
+steps and pins the sha256 of the ``trace.csv`` and ``summary.json`` it
+writes.  A refactor of the steppers, the penalty or the training loop must
+leave these bytes unchanged.  The digests belong to the NumPy/BLAS build
+they were taken on (NumPy 2.4, OpenBLAS, x86-64); another build may round
+a reduction differently and then needs its own digests.
+"""
+
+import hashlib
+
+import pytest
+
+from recadamlab.config import config_from_values, parse_flat_text
+from recadamlab.harness import finetune, pretrain
+
+ISOTROPIC_CFG = """
+transfer.kind=quadratic
+transfer.dim=12
+transfer.rho=0.7
+transfer.seed=3
+pretrain.steps=200
+pretrain.optimizer.alpha=0.1
+finetune.steps=150
+finetune.optimizer.kind={kind}
+finetune.optimizer.alpha=0.05
+finetune.optimizer.weight_decay={weight_decay}
+finetune.init=random
+shifting.k=0.1
+shifting.t0=60
+penalty.kind=isotropic
+penalty.gamma=1.0
+output_dir={out}
+"""
+
+FISHER_CFG = """
+transfer.kind=logistic-regression
+transfer.dim=16
+transfer.rho=0.7
+transfer.seed=4
+transfer.n_samples=512
+pretrain.steps=200
+pretrain.batch_size=32
+pretrain.optimizer.alpha=0.05
+finetune.steps=120
+finetune.batch_size=32
+finetune.optimizer.kind={kind}
+finetune.optimizer.alpha=0.01
+finetune.optimizer.weight_decay={weight_decay}
+finetune.init=pretrained
+finetune.schedule.kind=linear-warmup-constant
+finetune.schedule.warmup_steps=20000
+shifting.k=0.1
+shifting.t0=60
+penalty.kind=diagonal-fisher
+penalty.fisher_samples=256
+output_dir={out}
+"""
+
+KINDS = ("adam", "adamw", "recadam", "recadam-coupled")
+PENALTIES = {"isotropic": ISOTROPIC_CFG, "diagonal-fisher": FISHER_CFG}
+
+# (penalty, kind) -> (sha256 of trace.csv, sha256 of summary.json)
+DIGESTS = {
+    ("diagonal-fisher", "adam"): (
+        "3b70f9d737b6d2256d7bb5438d79f87624c2e25ec18ccefd61960a4a203e20c7",
+        "a156425af0f3a64e34e499350deed9dbf146a92be99c704bf9e1f0fa4c3d529a"),
+    ("diagonal-fisher", "adamw"): (
+        "ec32246a7e48a34d7fa7df24ac063eda0e335f76323741cebe7dd90dfa0e7643",
+        "c8a85841db91cabc461717c12d747204f593e1a4a245fe162a47278643f75232"),
+    ("diagonal-fisher", "recadam"): (
+        "e5830e98e051adfe90fc8219b1d5cd2838a55082c614ea3ca5b5244907ac03d4",
+        "28c321b7c763d2656efdda7eeea686da76d10fc6d944957b1c599568e3cf824d"),
+    ("diagonal-fisher", "recadam-coupled"): (
+        "aae1591451d06bd510ba6950fe433769c4cf77060ef6368872db5c3f172ef67c",
+        "2b52a3c4c61cf4b746e99a3a3f29376c787f86a37f4f206d9d4510ff6fa8dd19"),
+    ("isotropic", "adam"): (
+        "b6e1ca52d184877721139d054835f26c2fa8780691e8661c249d7d55ffb25078",
+        "b5a5948f749a2232d540e317e6ae2c4110cd17b22d1cf1663db31e55575dcbda"),
+    ("isotropic", "adamw"): (
+        "831d98a353bd778eae5a13212bddc4ae26bb377de752bb5f9fa22542ea48875c",
+        "b776c73195d857bdf54cefe3b68015eedb545ce562db4090688720b92e3a0da5"),
+    ("isotropic", "recadam"): (
+        "760b5f5a69cdbb4a731b0878ba7a0ee919645ac66a2e629d3ab0a5f24e38f012",
+        "ba1a612b0974ed7a581af7cdecde06dc80a9b92f35cc373e300a4939910aa9e4"),
+    ("isotropic", "recadam-coupled"): (
+        "e1f16773a4ca8d1e7d0daf400fee3e811a38bd04e044f1bd83e67d6ad4278d90",
+        "a1399c55910ebba6ee25a0a8d13545d2b729b28f9cafb8116a6992a5c1871f81"),
+}
+
+
+def run_digests(template, kind, out):
+    weight_decay = 0.02 if kind == "adamw" else 0.0
+    cfg = config_from_values(parse_flat_text(
+        template.format(kind=kind, weight_decay=weight_decay, out=out)))
+    theta_star, _ = pretrain(cfg, write_outputs=False)
+    run_dir = out / "run"
+    finetune(cfg, theta_star, seed=11, run_dir=run_dir)
+    return tuple(hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                 for name in ("trace.csv", "summary.json"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("penalty", sorted(PENALTIES))
+def test_run_replays_to_pinned_bytes(tmp_path, penalty, kind):
+    assert run_digests(PENALTIES[penalty], kind, tmp_path) == DIGESTS[(penalty, kind)]
