@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         if args.command == "pretrain":
             cfg = load_config(args.config)
             theta_star, trace = pretrain(cfg)
-            final = trace.rows[-1][2] if trace.rows else float("nan")
+            final = trace.column("target_loss")[-1] if len(trace) else float("nan")
             print(f"pretrained {theta_star.size} parameters for {len(trace)} steps; "
                   f"final source loss {final:.6g}")
             print(f"wrote {Path(cfg.output_dir) / 'theta_star.bin'}")

@@ -3,12 +3,12 @@
 Each fine-tuning step logs one trace row describing the state the step
 consumed: step index t, lambda(t), batch target loss and penalty value at
 theta_{t-1}, their lambda-mixture, distance to the pretrained anchor,
-gradient norm, and eta_t.  Trace files are CSV with 17-significant-digit
-floats and are written row by row, so an aborted run leaves a usable
-partial trace; a step that fails its finiteness checks writes no row.
-RunSummary.final_target_loss is evaluated on the full dataset at the
-final parameters; best/steps-to-threshold come from the per-step batch
-losses in the trace.
+gradient norm, and eta_t.  In memory a trace is one (n_steps, 8) float64
+array; on disk it is CSV with 17-significant-digit floats, written row by
+row, so an aborted run leaves a usable partial trace (a step that fails its
+finiteness checks writes no row).  RunSummary.final_target_loss is
+evaluated on the full dataset at the final parameters; best/steps-to-
+threshold come from the per-step batch losses in the trace.
 """
 
 import csv
@@ -47,20 +47,18 @@ def _fmt(x: float) -> str:
 
 
 class TrainingTrace:
-    """Per-step experiment record with column access."""
+    """Per-step experiment record: ``data`` is an (n_steps, 8) float64 array
+    whose columns are TRACE_COLUMNS, one row per step."""
 
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def append(self, row: tuple) -> None:
-        self.rows.append(row)
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64).reshape(-1, len(TRACE_COLUMNS))
 
     def column(self, name: str) -> np.ndarray:
-        i = TRACE_COLUMNS.index(name)
-        return np.array([row[i] for row in self.rows])
+        """A view of one column; do not write to it."""
+        return self.data[:, TRACE_COLUMNS.index(name)]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.data)
 
 
 class TraceWriter:
@@ -81,15 +79,24 @@ class TraceWriter:
 
 
 def read_trace(path: str | os.PathLike) -> TrainingTrace:
-    trace = TrainingTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise NoDataError(f"unexpected trace header in {path}")
-        for parts in reader:
-            trace.append((int(parts[0]), *(float(x) for x in parts[1:])))
-    return trace
+    """Load a trace file in one parse.  A wrong header, a row without one
+    number per column or a cell that is not a number is NoDataError; blank
+    lines are skipped."""
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]))
+        has_rows = any(line.strip() for line in fh)
+    if tuple(header) != TRACE_COLUMNS:
+        raise NoDataError(f"unexpected trace header in {path}")
+    if not has_rows:  # loadtxt warns on an input without rows
+        return TrainingTrace(())
+    try:
+        # given the path, loadtxt reads the file in chunks, not line by line
+        data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise NoDataError(f"malformed trace {path}: {exc}") from None
+    if data.shape[1] != len(TRACE_COLUMNS):
+        raise NoDataError(f"malformed trace {path}: {data.shape[1]} columns")
+    return TrainingTrace(data)
 
 
 @dataclass
@@ -151,7 +158,7 @@ def _run_loop(task, theta0, steps, batch_size, rng_batches, writer, pen, kind,
     """Shared training loop; returns (trace, theta_final).  The stepper checks
     the gradients before the step's row is recorded."""
     recall, step = _STEPPERS[kind]
-    trace = TrainingTrace()
+    rows = []  # a list append costs less per step than a write into an array row
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.size)
     batches = None
@@ -169,13 +176,13 @@ def _run_loop(task, theta0, steps, batch_size, rng_batches, writer, pen, kind,
             row = (t, lam, loss, pval, composite_loss(lam, loss, pval), dist,
                    float(np.sqrt(np.sum(grad * grad))), eta)
             theta, state = step(theta, state, adam_cfg, weight_decay, eta, grad, lam, pgrad)
-            trace.append(row)
+            rows.append(row)
             if writer is not None:
                 writer.write_row(row)
     finally:
         if writer is not None:
             writer.close()
-    return trace, theta
+    return TrainingTrace(rows), theta
 
 
 def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
@@ -246,7 +253,7 @@ def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
     if loss_threshold is not None:
         hits = np.nonzero(losses < loss_threshold)[0]
         if hits.size:
-            steps_to = int(trace.rows[hits[0]][0])
+            steps_to = int(trace.column("step")[hits[0]])
     final_full = task.loss_and_grad(theta_final, None)[0]
     return RunSummary(
         final_target_loss=float(final_full),
@@ -384,6 +391,10 @@ def _discover_runs(run_dir: Path):
     return runs
 
 
+def _median_of(runs, name: str) -> str:
+    return _fmt(float(np.median([getattr(r["summary"], name) for r in runs])))
+
+
 def _median_or_none(values):
     vals = [math.inf if v is None else v for v in values]
     med = float(np.median(vals))
@@ -403,29 +414,23 @@ def report(run_dir: str | os.PathLike) -> list:
         raise NoDataError(f"no completed runs (config, trace and summary) under {run_dir}")
     written = []
 
-    # (a) per-k learning curves
+    # (a) per-k learning curves: one median over the stacked runs per k for all
+    # steps at once, equal per step to that step's own median (odd or even count)
     by_k = {}
     for run in runs:
-        by_k.setdefault(float(run["flat"]["shifting.k"]), []).append(run["trace"])
+        by_k.setdefault(float(run["flat"]["shifting.k"]), []).append(run["trace"].data)
     ks = sorted(by_k)
-    n_steps = min(min(len(tr) for tr in traces) for traces in by_k.values())
+    n_steps = min(len(run["trace"]) for run in runs)
+    cols = [TRACE_COLUMNS.index("target_loss"), TRACE_COLUMNS.index("dist_to_pretrained")]
+    curves = np.hstack([np.median(np.stack([data[:n_steps, cols] for data in by_k[k]]), axis=0)
+                        for k in ks])
     curve_path = run_dir / "learning_curves.csv"
     with open(curve_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["step"]
-        for k in ks:
-            header += [f"target_loss_k={k:g}", f"dist_k={k:g}"]
-        writer.writerow(header)
-        loss_cols = {k: np.stack([tr.column("target_loss")[:n_steps] for tr in by_k[k]])
-                     for k in ks}
-        dist_cols = {k: np.stack([tr.column("dist_to_pretrained")[:n_steps] for tr in by_k[k]])
-                     for k in ks}
-        for i in range(n_steps):
-            row = [str(i + 1)]
-            for k in ks:
-                row.append(_fmt(float(np.median(loss_cols[k][:, i]))))
-                row.append(_fmt(float(np.median(dist_cols[k][:, i]))))
-            writer.writerow(row)
+        writer.writerow(["step"] + [f"{name}_k={k:g}"
+                                    for k in ks for name in ("target_loss", "dist")])
+        writer.writerows([str(step), *map(_fmt, values)]
+                         for step, values in enumerate(curves.tolist(), start=1))
     written.append(curve_path)
 
     # (b) median-over-seeds summary per configuration
@@ -442,15 +447,13 @@ def report(run_dir: str | os.PathLike) -> list:
         for cfg_hash in sorted(by_cfg):
             group = by_cfg[cfg_hash]
             flat = group[0]["flat"]
-            summaries = [r["summary"] for r in group]
             writer.writerow([
                 cfg_hash, flat["finetune.optimizer.kind"], flat["finetune.init"],
                 flat["shifting.k"], flat["shifting.t0"], flat["penalty.gamma"],
                 str(len(group)),
-                _fmt(float(np.median([s.final_target_loss for s in summaries]))),
-                _fmt(float(np.median([s.best_target_loss for s in summaries]))),
-                _format_cell(_median_or_none([s.steps_to_threshold for s in summaries])),
-                _fmt(float(np.median([s.final_dist_to_pretrained for s in summaries]))),
+                _median_of(group, "final_target_loss"), _median_of(group, "best_target_loss"),
+                _format_cell(_median_or_none([r["summary"].steps_to_threshold for r in group])),
+                _median_of(group, "final_dist_to_pretrained"),
             ])
     written.append(summary_path)
 
@@ -458,16 +461,12 @@ def report(run_dir: str | os.PathLike) -> list:
     inits = {r["flat"]["finetune.init"] for r in runs}
     if {"random", "pretrained"} <= inits:
         comparison_path = run_dir / "init_comparison.csv"
-        metrics = (("final_target_loss", lambda s: s.final_target_loss),
-                   ("best_target_loss", lambda s: s.best_target_loss),
-                   ("final_dist_to_pretrained", lambda s: s.final_dist_to_pretrained))
         with open(comparison_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "init", "median"])
-            for name, getter in metrics:
+            for name in ("final_target_loss", "best_target_loss", "final_dist_to_pretrained"):
                 for init in ("random", "pretrained"):
-                    vals = [getter(r["summary"]) for r in runs
-                            if r["flat"]["finetune.init"] == init]
-                    writer.writerow([name, init, _fmt(float(np.median(vals)))])
+                    group = [r for r in runs if r["flat"]["finetune.init"] == init]
+                    writer.writerow([name, init, _median_of(group, name)])
         written.append(comparison_path)
     return written

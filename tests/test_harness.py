@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from recadamlab.cli import main
 from recadamlab.config import config_from_values, parse_flat_text
 from recadamlab.errors import ConfigError, DimensionError, NoDataError
 from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair, finetune,
@@ -72,7 +73,7 @@ class TestPretrain:
     def test_quadratic_source_converges(self, tmp_path):
         cfg = quad_cfg(tmp_path)
         theta_star, trace = pretrain(cfg)
-        assert trace.rows[-1][2] < 1e-8
+        assert trace.column("target_loss")[-1] < 1e-8
         assert len(trace) == 2000
         assert (Path(cfg.output_dir) / "theta_star.bin").exists()
         saved = read_vector(Path(cfg.output_dir) / "theta_star.bin")
@@ -158,8 +159,8 @@ class TestFinetune:
         assert len(lines) == 6
         # 17-significant-digit reals reload to the exact binary values
         reloaded = read_trace(tmp_path / "run" / "trace.csv")
-        for a, b in zip(trace.rows, reloaded.rows):
-            assert a == b
+        assert trace.data.shape == reloaded.data.shape == (5, len(TRACE_COLUMNS))
+        assert trace.data.tobytes() == reloaded.data.tobytes()
 
     def test_summary_fields(self, tmp_path):
         cfg = quad_cfg(tmp_path)
@@ -346,6 +347,60 @@ class TestReport:
     def test_empty_directory_raises_no_data(self, tmp_path):
         with pytest.raises(NoDataError):
             report(tmp_path)
+
+
+class TestReadTrace:
+    """Damaged and empty trace files.  A damaged trace sits in a completed run
+    (one with summary.json), so report reads it and must refuse it."""
+
+    def _completed_run(self, tmp_path):
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 5})
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        out = Path(cfg.output_dir)
+        finetune(cfg, theta_star, seed=0, run_dir=out / "runs" / "r0")
+        return out, out / "runs" / "r0" / "trace.csv"
+
+    def _assert_report_is_no_data(self, out, trace_path, capsys):
+        with pytest.raises(NoDataError, match=re.escape(str(trace_path))):
+            report(out)
+        assert main(["report", "--dir", str(out)]) == 4
+        assert str(trace_path) in capsys.readouterr().err
+
+    def test_row_with_seven_fields_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_every_row_with_seven_fields_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] for r in rows]) + "\n")
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_non_numeric_cell_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = "5x," + lines[2].split(",", 1)[1]
+        path.write_text("".join(lines))
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_trailing_blank_line_is_not_an_error(self, tmp_path):
+        out, path = self._completed_run(tmp_path)
+        intact = read_trace(path)
+        path.write_text(path.read_text() + "\n")
+        assert read_trace(path).data.tobytes() == intact.data.tobytes()
+        report(out)
+        assert len((out / "learning_curves.csv").read_text().splitlines()) == 1 + 5
+
+    def test_header_only_trace_has_no_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n")
+        trace = read_trace(path)
+        assert len(trace) == 0
+        assert trace.data.shape == (0, len(TRACE_COLUMNS))
+        assert trace.column("target_loss").size == 0
 
 
 class TestTransferPairFromConfig:

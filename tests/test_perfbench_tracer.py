@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` replaces library functions by their names in the
 ``harness``, ``optim`` and ``cli`` modules.  Installing it fails if one of
 those names has gone; a traced run must count each optimizer step once,
-under the span of the run's own stepper.
+under the span of the run's own stepper, and a traced report must count
+one trace read per run and the rows it read.
 """
 
 import importlib.util
@@ -54,3 +55,16 @@ def test_traced_finetune_counts_one_stepper_call_per_step(tmp_path, kind):
     assert tracer.calls["harness.finetune"] == 1
     for name in set(STEP_SPANS.values()):
         assert tracer.calls[name] == (20 if name == STEP_SPANS[kind] else 0)
+
+
+def test_traced_report_counts_one_read_per_run_and_its_rows(tmp_path):
+    # harness.read_trace.us_per_row divides read time by these row units
+    cfg = config_from_values(parse_flat_text(CFG.format(kind="recadam", out=tmp_path)))
+    theta_star, _ = harness.pretrain(cfg, write_outputs=False)
+    for seed in (0, 1):
+        harness.finetune(cfg, theta_star, seed, run_dir=tmp_path / "runs" / f"s{seed}")
+    with load_tracer().Tracer().installed() as tracer:
+        harness.report(tmp_path)
+    assert tracer.calls["harness.report"] == 1
+    assert tracer.calls["harness.read_trace"] == 2
+    assert tracer.units["harness.read_trace"] == 2 * 20

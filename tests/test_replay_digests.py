@@ -1,9 +1,11 @@
-"""Byte-for-byte replay of short fine-tuning runs.
+"""Byte-for-byte replay of short fine-tuning runs and of their report.
 
 Each case fine-tunes one optimizer kind under one penalty for at most 200
 steps and pins the sha256 of the ``trace.csv`` and ``summary.json`` it
 writes.  A refactor of the steppers, the penalty or the training loop must
-leave these bytes unchanged.  The digests belong to the NumPy/BLAS build
+leave these bytes unchanged.  One more case pins the three files ``report``
+writes for a directory of five runs, so a change to how traces are read or
+aggregated must leave those bytes unchanged too.  The digests belong to the NumPy/BLAS build
 they were taken on (NumPy 2.4, OpenBLAS, x86-64); another build may round
 a reduction differently and then needs its own digests.
 """
@@ -13,7 +15,7 @@ import hashlib
 import pytest
 
 from recadamlab.config import config_from_values, parse_flat_text
-from recadamlab.harness import finetune, pretrain
+from recadamlab.harness import finetune, pretrain, report
 
 ISOTROPIC_CFG = """
 transfer.kind=quadratic
@@ -105,3 +107,51 @@ def run_digests(template, kind, out):
 @pytest.mark.parametrize("penalty", sorted(PENALTIES))
 def test_run_replays_to_pinned_bytes(tmp_path, penalty, kind):
     assert run_digests(PENALTIES[penalty], kind, tmp_path) == DIGESTS[(penalty, kind)]
+
+
+REPORT_CFG = """
+transfer.kind=quadratic
+transfer.dim=12
+transfer.rho=0.7
+transfer.seed=5
+pretrain.steps=200
+pretrain.optimizer.alpha=0.1
+finetune.steps=100
+finetune.optimizer.kind=recadam
+finetune.optimizer.alpha=0.05
+finetune.init={init}
+finetune.loss_threshold=0.5
+shifting.k={k}
+shifting.t0=40
+penalty.kind=isotropic
+penalty.gamma=1.0
+output_dir={out}
+"""
+
+# (k, init, seed): k=0.1 has three runs and k=0.5 two, so the learning
+# curves take the median of an odd and of an even number of runs
+REPORT_RUNS = ((0.1, "random", 1), (0.1, "random", 2), (0.1, "pretrained", 1),
+               (0.5, "random", 1), (0.5, "pretrained", 2))
+
+REPORT_DIGESTS = {
+    "learning_curves.csv":
+        "2047416fb4cb51a62def7bdce99b7faad7f8b344fedd1c97eae827da88c11d97",
+    "summary_median.csv":
+        "7aef69a2325de2990efc72b7d84d66ee896e356033faa1dd8baaa5e095b73029",
+    "init_comparison.csv":
+        "67c94bc67e1ea56880838f8fccbed2e9826ec973893f84ab132ffc13dc19052f",
+}
+
+
+def test_report_writes_pinned_bytes(tmp_path):
+    theta_star = None
+    for k, init, seed in REPORT_RUNS:
+        cfg = config_from_values(parse_flat_text(
+            REPORT_CFG.format(init=init, k=k, out=tmp_path)))
+        if theta_star is None:
+            theta_star, _ = pretrain(cfg, write_outputs=False)
+        finetune(cfg, theta_star, seed, run_dir=tmp_path / "runs" / f"k{k}-{init}-s{seed}")
+    report(tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REPORT_DIGESTS}
+    assert digests == REPORT_DIGESTS
