@@ -16,9 +16,7 @@ from .recall import (HessianSummary, PenaltyModel, analytic_hessian_quadratic,
                      penalty_grad, penalty_loss, save_penalty)
 from .shifting import AnnealSchedule, composite_loss, lambda_at
 from .storage import read_vector, write_vector
-from .tasks import (Task, TransferPair, batch_stream, finite_diff_grad,
-                    gen_linear_regression_task, gen_logistic_regression_task,
-                    gen_quadratic_task, gen_transfer_pair, make_mlp_task,
-                    task_from_json, task_from_spec, task_to_json)
+from .tasks import (Task, TransferPair, batch_stream, finite_diff_grad, gen_task,
+                    gen_transfer_pair, task_from_json, task_from_spec, task_to_json)
 
 __version__ = "0.1.0"

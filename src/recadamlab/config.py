@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig, ScheduleMultiplier
 from .recall import PENALTY_KINDS
 from .shifting import AnnealSchedule
-from .tasks import TASK_KINDS
+from .tasks import TASK_KINDS, _task_spec
 
 INIT_KINDS = ("random", "pretrained")
 
@@ -182,9 +182,12 @@ _KEYS = {
 _ATTRS = {key: row.attr or key for key, row in _KEYS.items()}
 _GET_ALL = attrgetter(*_ATTRS.values())  # one call fetches every key's value, in table order
 _MLP_DIMS = ("transfer.dim_in", "transfer.hidden", "transfer.classes")
+_TASK_SIZES = _MLP_DIMS + ("transfer.n_samples", "transfer.noise_std", "transfer.center_scale",
+                           "transfer.label_noise")
 _MINIMUMS = (("pretrain.steps", 1), ("finetune.steps", 1), ("pretrain.batch_size", 1),
              ("finetune.batch_size", 1), ("penalty.gamma", 0),
-             ("finetune.optimizer.weight_decay", 0))
+             ("finetune.optimizer.weight_decay", 0), ("transfer.n_samples", 1),
+             ("penalty.fisher_samples", 1))
 
 
 def _lines(flat: dict) -> str:
@@ -248,22 +251,19 @@ def config_from_values(values: dict) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
         else:
             full[key] = row.default
-    if full["transfer.kind"] == "mlp-1h":
-        dim_in, hidden, classes = (full[key] for key in _MLP_DIMS)
-        if min(dim_in, hidden, classes) < 1:
-            raise ConfigError("mlp-1h needs transfer.dim_in/hidden/classes >= 1")
-        derived = hidden * (dim_in + 1) + classes * (hidden + 1)
-        if full["transfer.dim"] not in (0, derived):
-            raise ConfigError(f"transfer.dim={full['transfer.dim']} but mlp parameter "
-                              f"count is {derived}")
-        full["transfer.dim"] = derived
-    elif full["transfer.dim"] < 1:
-        raise ConfigError("transfer.dim must be >= 1")
-    if not (0.0 <= full["transfer.rho"] <= 1.0):
-        raise ConfigError("transfer.rho must lie in [0, 1]")
+    for key in ("transfer.rho", "transfer.label_noise"):
+        if not (0.0 <= full[key] <= 1.0):
+            raise ConfigError(f"{key} must lie in [0, 1]")
     for key, low in _MINIMUMS:
         if full[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
+    sizes = {key.split(".", 1)[1]: full[key] for key in _TASK_SIZES}
+    try:  # the task generator's own size checks; an mlp-1h derives its dim
+        spec = _task_spec(full["transfer.kind"], full["transfer.dim"], full["transfer.seed"],
+                          sizes)
+    except ValueError as exc:
+        raise ConfigError(f"transfer: {exc}") from None
+    full["transfer.dim"] = spec["dim"]
     return _build(ExperimentConfig, {_ATTRS[key]: value for key, value in full.items()})
 
 

@@ -80,8 +80,8 @@ class TraceWriter:
 
 def read_trace(path: str | os.PathLike) -> TrainingTrace:
     """Load a trace file in one parse.  A wrong header, a row without one
-    number per column or a cell that is not a number is NoDataError; blank
-    lines are skipped."""
+    number per column, a cell that is not a number or a step column other
+    than 1, 2, ..., n is NoDataError; blank lines are skipped."""
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]))
         has_rows = any(line.strip() for line in fh)
@@ -96,6 +96,8 @@ def read_trace(path: str | os.PathLike) -> TrainingTrace:
         raise NoDataError(f"malformed trace {path}: {exc}") from None
     if data.shape[1] != len(TRACE_COLUMNS):
         raise NoDataError(f"malformed trace {path}: {data.shape[1]} columns")
+    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
+        raise NoDataError(f"malformed trace {path}: steps are not 1, 2, ..., {len(data)}")
     return TrainingTrace(data)
 
 
@@ -118,12 +120,10 @@ class RunSummary:
 
 def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
     t = cfg.transfer
-    rng = RandomSource(t.seed)
-    kwargs = dict(n_samples=t.n_samples, center_scale=t.center_scale,
-                  label_noise=t.label_noise, noise_std=t.noise_std)
-    if t.kind == "mlp-1h":
-        kwargs["mlp_dims"] = (t.dim_in, t.hidden, t.classes)
-    return gen_transfer_pair(t.kind, t.dim, t.rho, rng, **kwargs)
+    return gen_transfer_pair(t.kind, t.dim, t.rho, RandomSource(t.seed),
+                             n_samples=t.n_samples, dim_in=t.dim_in, hidden=t.hidden,
+                             classes=t.classes, noise_std=t.noise_std,
+                             center_scale=t.center_scale, label_noise=t.label_noise)
 
 
 def build_penalty(cfg: ExperimentConfig, pair: TransferPair,

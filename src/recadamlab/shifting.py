@@ -9,9 +9,6 @@ plain fine-tuning from step t0 + 1 onward.
 import math
 from dataclasses import dataclass
 
-DEFAULT_K_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
-DEFAULT_T0_GRID = (100, 250, 500, 1000)
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:

@@ -7,24 +7,25 @@ Four kinds stand in for pretraining/fine-tuning workloads:
 * ``logistic-regression`` -- binary cross entropy
 * ``mlp-1h``              -- affine -> tanh -> affine -> softmax cross entropy
 
-Every generator draws exclusively from labelled child streams of the
-RandomSource it is given, and the resulting task records its generation
-parameters, so ``task_from_spec(task.to_spec())`` rebuilds it bit for bit.
-Transfer pairs interpolate generative parameters (centers, true weights)
-with a relatedness knob rho; the dataset noise stream is shared between
-source and target so rho = 1 yields an identical task.
+Each kind is one row of the ``_KINDS`` table: a draw of its generative
+parameters and a build of the task from them.  ``gen_task`` and
+``gen_transfer_pair`` are the only generators; both draw exclusively from
+labelled child streams of the RandomSource they are given, and each task
+records its generator's arguments and seed, so
+``task_from_spec(task.to_spec())`` rebuilds it bit for bit.  Transfer
+pairs interpolate generative parameters (centers, true weights) with a
+relatedness knob rho; the dataset noise stream is shared between source
+and target so rho = 1 yields an identical task.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from .numkit import RandomSource, check_same_length
-
-TASK_KINDS = ("quadratic", "linear-regression", "logistic-regression", "mlp-1h")
 
 
 def _as_batch(n_rows: int, batch) -> np.ndarray:
@@ -53,7 +54,8 @@ def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np
 
 
 class Task:
-    """Common surface shared by all task kinds."""
+    """Common surface shared by all task kinds; a kind with a dataset holds
+    it as ``features``, one row per sample."""
 
     kind: str
     dim: int
@@ -62,7 +64,7 @@ class Task:
         raise NotImplementedError
 
     def dataset_size(self) -> int:
-        return 0
+        return self.features.shape[0]
 
     def per_sample_loglik_grads(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise UnsupportedTaskError(f"{self.kind} has no per-sample log-likelihood")
@@ -91,6 +93,9 @@ class QuadraticTask(Task):
         if np.any(np.diag(self.curvature) <= 0):
             raise ValueError("curvature diagonal must be positive")
 
+    def dataset_size(self):
+        return 0
+
     def loss_and_grad(self, theta, batch=None):
         check_same_length(theta, self.center)
         diff = theta - self.center
@@ -112,9 +117,6 @@ class LinearRegressionTask(Task):
         self.dim = self.features.shape[1]
         if self.targets.shape != (self.features.shape[0],):
             raise DimensionError("targets must have one row per feature row")
-
-    def dataset_size(self):
-        return self.features.shape[0]
 
     def loss_and_grad(self, theta, batch=None):
         if theta.size != self.dim:
@@ -144,9 +146,6 @@ class LogisticRegressionTask(Task):
         self.dim = self.features.shape[1]
         if self.labels.shape != (self.features.shape[0],):
             raise DimensionError("labels must have one row per feature row")
-
-    def dataset_size(self):
-        return self.features.shape[0]
 
     def loss_and_grad(self, theta, batch=None):
         if theta.size != self.dim:
@@ -197,9 +196,6 @@ class MlpTask(Task):
             raise DimensionError("feature width must equal dim_in")
         if self.labels.shape != (self.features.shape[0],):
             raise DimensionError("labels must have one row per feature row")
-
-    def dataset_size(self):
-        return self.features.shape[0]
 
     def unpack(self, theta: np.ndarray):
         h, din, C = self.hidden, self.dim_in, self.classes
@@ -275,98 +271,110 @@ def finite_diff_grad(task: Task, theta: np.ndarray, batch=None, h: float = 1e-5)
 
 
 # --- generators ------------------------------------------------------------
-# All draws go through labelled child streams so a recorded seed replays
-# the task exactly regardless of how the parent source was used elsewhere.
+# One row of _KINDS per task kind: draw(rng, spec) makes the generative
+# parameters from a stream, build(params, rng, spec) makes the task, sampling
+# any dataset from rng.child("data").  All draws go through labelled child
+# streams so a recorded seed replays the task exactly regardless of how the
+# parent source was used elsewhere.
 
-def _draw_quadratic_params(dim: int, rng: RandomSource):
-    M = rng.child("rotation").normal((dim, dim))
-    Q, R = np.linalg.qr(M)
+def _draw_quadratic(rng: RandomSource, spec: dict) -> dict:
+    dim = spec["dim"]
+    Q, R = np.linalg.qr(rng.child("rotation").normal((dim, dim)))
     Q = Q * np.sign(np.diag(R))
     lam = 10.0 ** rng.child("eigs").uniform(-1.0, 1.0, dim)
     A = (Q * lam) @ Q.T
-    A = (A + A.T) / 2
-    c = rng.child("center").normal(dim)
-    return {"curvature": A, "center": c}
+    return {"curvature": (A + A.T) / 2, "center": rng.child("center").normal(dim)}
 
 
-def _draw_linreg_params(dim: int, rng: RandomSource):
-    return {"weights": rng.child("weights").normal(dim)}
+def _draw_weights(scale: float) -> Callable:
+    return lambda rng, spec: {"weights": rng.child("weights").normal(spec["dim"], scale)}
 
 
-def _draw_logreg_params(dim: int, rng: RandomSource):
-    return {"weights": 2.0 * rng.child("weights").normal(dim)}
-
-
-def _draw_mlp_params(dim_in: int, classes: int, center_scale: float, rng: RandomSource):
-    return {"centers": center_scale * rng.child("centers").normal((classes, dim_in))}
-
-
-def _sample_linreg_data(params, dim, n_samples, noise_std, rng: RandomSource):
-    data = rng.child("data")
-    X = data.normal((n_samples, dim))
-    y = X @ params["weights"] + noise_std * data.normal(n_samples)
-    return X, y
-
-
-def _sample_logreg_data(params, dim, n_samples, rng: RandomSource):
-    data = rng.child("data")
-    X = data.normal((n_samples, dim))
-    p = _sigmoid(X @ params["weights"])
-    y = (data.uniform(size=n_samples) < p).astype(np.float64)
-    return X, y
-
-
-def _sample_mlp_data(params, dim_in, classes, n_samples, noise_std, label_noise,
-                     rng: RandomSource):
-    data = rng.child("data")
-    y = data.integers(0, classes, n_samples)
-    X = params["centers"][y] + noise_std * data.normal((n_samples, dim_in))
-    if label_noise > 0:
-        flip = data.uniform(size=n_samples) < label_noise
-        resampled = data.integers(0, classes, n_samples)
-        y = np.where(flip, resampled, y)
-    return X, y.astype(np.intp)
-
-
-def gen_quadratic_task(dim: int, rng: RandomSource) -> QuadraticTask:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    params = _draw_quadratic_params(dim, rng)
-    spec = {"kind": "quadratic", "dim": dim, "seed": rng.seed}
-    return QuadraticTask(params["curvature"], params["center"], spec=spec)
-
-
-def gen_linear_regression_task(dim: int, n_samples: int, rng: RandomSource,
-                               noise_std: float = 0.1) -> LinearRegressionTask:
-    params = _draw_linreg_params(dim, rng)
-    X, y = _sample_linreg_data(params, dim, n_samples, noise_std, rng)
-    spec = {"kind": "linear-regression", "dim": dim, "seed": rng.seed,
-            "n_samples": n_samples, "noise_std": noise_std}
+def _build_linreg(params: dict, rng: RandomSource, spec: dict) -> LinearRegressionTask:
+    data, n = rng.child("data"), spec["n_samples"]
+    X = data.normal((n, spec["dim"]))
+    y = X @ params["weights"] + spec["noise_std"] * data.normal(n)
     return LinearRegressionTask(X, y, spec=spec)
 
 
-def gen_logistic_regression_task(dim: int, n_samples: int, rng: RandomSource
-                                 ) -> LogisticRegressionTask:
-    params = _draw_logreg_params(dim, rng)
-    X, y = _sample_logreg_data(params, dim, n_samples, rng)
-    spec = {"kind": "logistic-regression", "dim": dim, "seed": rng.seed,
-            "n_samples": n_samples}
+def _build_logreg(params: dict, rng: RandomSource, spec: dict) -> LogisticRegressionTask:
+    data, n = rng.child("data"), spec["n_samples"]
+    X = data.normal((n, spec["dim"]))
+    y = (data.uniform(size=n) < _sigmoid(X @ params["weights"])).astype(np.float64)
     return LogisticRegressionTask(X, y, spec=spec)
 
 
-def make_mlp_task(dim_in: int, hidden: int, classes: int, n_samples: int,
-                  rng: RandomSource, center_scale: float = 1.0,
-                  noise_std: float = 1.0, label_noise: float = 0.0) -> MlpTask:
-    if min(dim_in, hidden, classes, n_samples) < 1:
-        raise ValueError("all sizes must be >= 1")
-    params = _draw_mlp_params(dim_in, classes, center_scale, rng)
-    X, y = _sample_mlp_data(params, dim_in, classes, n_samples, noise_std,
-                            label_noise, rng)
-    spec = {"kind": "mlp-1h", "dim_in": dim_in, "hidden": hidden,
-            "classes": classes, "seed": rng.seed, "n_samples": n_samples,
-            "center_scale": center_scale, "noise_std": noise_std,
-            "label_noise": label_noise}
-    return MlpTask(dim_in, hidden, classes, X, y, spec=spec)
+def _draw_mlp(rng: RandomSource, spec: dict) -> dict:
+    shape = (spec["classes"], spec["dim_in"])
+    return {"centers": spec["center_scale"] * rng.child("centers").normal(shape)}
+
+
+def _build_mlp(params: dict, rng: RandomSource, spec: dict) -> MlpTask:
+    data, n, classes = rng.child("data"), spec["n_samples"], spec["classes"]
+    y = data.integers(0, classes, n)
+    X = params["centers"][y] + spec["noise_std"] * data.normal((n, spec["dim_in"]))
+    if spec["label_noise"] > 0:
+        flip = data.uniform(size=n) < spec["label_noise"]
+        y = np.where(flip, data.integers(0, classes, n), y)
+    return MlpTask(spec["dim_in"], spec["hidden"], classes, X, y.astype(np.intp), spec=spec)
+
+
+class _Kind(NamedTuple):
+    draw: Callable
+    build: Callable
+    sizes: dict  # the kind's keywords and their defaults
+
+
+_KINDS = {
+    "quadratic": _Kind(_draw_quadratic,
+                       lambda params, rng, spec: QuadraticTask(**params, spec=spec), {}),
+    "linear-regression": _Kind(_draw_weights(1.0), _build_linreg,
+                               {"n_samples": 512, "noise_std": 0.1}),
+    "logistic-regression": _Kind(_draw_weights(2.0), _build_logreg, {"n_samples": 512}),
+    "mlp-1h": _Kind(_draw_mlp, _build_mlp,
+                    {"dim_in": 0, "hidden": 0, "classes": 0, "n_samples": 512,
+                     "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}),
+}
+TASK_KINDS = tuple(_KINDS)
+_KEYWORDS = {key for row in _KINDS.values() for key in row.sizes}
+
+
+def _task_spec(kind: str, dim: int, seed: int, sizes: dict) -> dict:
+    """kind, dim and seed plus the kind's own keywords, a missing or None
+    keyword taking its default, after every size check.  Keywords that only
+    other kinds use are accepted and left out, so one set of keywords (a
+    config's, or an older spec's) serves every kind."""
+    if kind not in _KINDS:
+        raise UnsupportedTaskError(f"unknown task kind: {kind!r}")
+    unknown = sizes.keys() - _KEYWORDS
+    if unknown:
+        raise TypeError(f"unknown task keywords: {sorted(unknown)}")
+    spec = {"kind": kind, "dim": dim, "seed": seed}
+    for key, default in _KINDS[kind].sizes.items():
+        spec[key] = default if sizes.get(key) is None else sizes[key]
+    for key in ("n_samples", "dim_in", "hidden", "classes"):
+        if spec.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1, got {spec[key]}")
+    if not 0.0 <= spec.get("label_noise", 0.0) <= 1.0:
+        raise ValueError(f"label_noise must lie in [0, 1], got {spec['label_noise']}")
+    if kind == "mlp-1h":  # the parameter count follows from the layer sizes
+        h = spec["hidden"]
+        d = h * (spec["dim_in"] + 1) + spec["classes"] * (h + 1)
+        if dim not in (0, d):
+            raise DimensionError(f"mlp parameter count is {d}, got dim={dim}")
+        spec["dim"] = d
+    if spec["dim"] < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return spec
+
+
+def gen_task(kind: str, dim: int, rng: RandomSource, **sizes) -> Task:
+    """One task of the given kind.  sizes are the kind's keywords (n_samples,
+    noise_std; mlp-1h: dim_in, hidden, classes, center_scale, label_noise);
+    mlp-1h takes dim=0 or its derived parameter count."""
+    spec = _task_spec(kind, dim, rng.seed, sizes)
+    draw, build, _ = _KINDS[kind]
+    return build(draw(rng, spec), rng, spec)
 
 
 @dataclass
@@ -389,112 +397,47 @@ def _mix(rho: float, src: dict, ind: dict) -> dict:
 
 
 def gen_transfer_pair(kind: str, dim: int, rho: float, rng: RandomSource,
-                      n_samples: int = 512, mlp_dims: tuple | None = None,
-                      noise_std: float | None = None, center_scale: float = 1.0,
-                      label_noise: float = 0.0) -> TransferPair:
+                      **sizes) -> TransferPair:
     """Source/target pair whose generative parameters are the convex mix
-    rho * source + (1 - rho) * independent draw.
+    rho * source + (1 - rho) * independent draw; sizes as for gen_task.
 
     The dataset noise stream is shared between source and target, so
     rho = 1 reproduces the source task exactly while rho = 0 gives a
     target drawn independently of the source parameters.
     """
-    if kind not in TASK_KINDS:
-        raise UnsupportedTaskError(f"unknown task kind: {kind!r}")
+    spec = _task_spec(kind, dim, rng.seed, sizes)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"relatedness rho must lie in [0, 1], got {rho}")
-    src_rng = rng.child("source-params")
-    ind_rng = rng.child("independent-params")
-
-    spec = {"kind": kind, "dim": dim, "rho": rho, "seed": rng.seed,
-            "n_samples": n_samples, "center_scale": center_scale,
-            "label_noise": label_noise}
-
-    if kind == "quadratic":
-        p_src = _draw_quadratic_params(dim, src_rng)
-        p_tgt = _mix(rho, p_src, _draw_quadratic_params(dim, ind_rng))
-        source = QuadraticTask(p_src["curvature"], p_src["center"],
-                               spec={**spec, "role": "source"})
-        target = QuadraticTask(p_tgt["curvature"], p_tgt["center"],
-                               spec={**spec, "role": "target"})
-    elif kind == "linear-regression":
-        ns = 0.1 if noise_std is None else noise_std
-        spec["noise_std"] = ns
-        p_src = _draw_linreg_params(dim, src_rng)
-        p_tgt = _mix(rho, p_src, _draw_linreg_params(dim, ind_rng))
-        Xs, ys = _sample_linreg_data(p_src, dim, n_samples, ns, rng)
-        Xt, yt = _sample_linreg_data(p_tgt, dim, n_samples, ns, rng)
-        source = LinearRegressionTask(Xs, ys, spec={**spec, "role": "source"})
-        target = LinearRegressionTask(Xt, yt, spec={**spec, "role": "target"})
-    elif kind == "logistic-regression":
-        p_src = _draw_logreg_params(dim, src_rng)
-        p_tgt = _mix(rho, p_src, _draw_logreg_params(dim, ind_rng))
-        Xs, ys = _sample_logreg_data(p_src, dim, n_samples, rng)
-        Xt, yt = _sample_logreg_data(p_tgt, dim, n_samples, rng)
-        source = LogisticRegressionTask(Xs, ys, spec={**spec, "role": "source"})
-        target = LogisticRegressionTask(Xt, yt, spec={**spec, "role": "target"})
-    else:  # mlp-1h
-        if mlp_dims is None:
-            raise ValueError("mlp-1h transfer pairs need mlp_dims=(dim_in, hidden, classes)")
-        dim_in, hidden, classes = mlp_dims
-        ns = 1.0 if noise_std is None else noise_std
-        spec.update({"dim_in": dim_in, "hidden": hidden, "classes": classes,
-                     "noise_std": ns})
-        d = hidden * (dim_in + 1) + classes * (hidden + 1)
-        if dim not in (0, d):
-            raise DimensionError(f"mlp parameter count is {d}, got dim={dim}")
-        spec["dim"] = d
-        p_src = _draw_mlp_params(dim_in, classes, center_scale, src_rng)
-        p_tgt = _mix(rho, p_src, _draw_mlp_params(dim_in, classes, center_scale, ind_rng))
-        Xs, ys = _sample_mlp_data(p_src, dim_in, classes, n_samples, ns, label_noise, rng)
-        Xt, yt = _sample_mlp_data(p_tgt, dim_in, classes, n_samples, ns, label_noise, rng)
-        source = MlpTask(dim_in, hidden, classes, Xs, ys, spec={**spec, "role": "source"})
-        target = MlpTask(dim_in, hidden, classes, Xt, yt, spec={**spec, "role": "target"})
-
-    return TransferPair(source, target, rho, spec)
+    spec["rho"] = rho
+    draw, build, _ = _KINDS[kind]
+    p_src = draw(rng.child("source-params"), spec)
+    p_tgt = _mix(rho, p_src, draw(rng.child("independent-params"), spec))
+    return TransferPair(build(p_src, rng, {**spec, "role": "source"}),
+                        build(p_tgt, rng, {**spec, "role": "target"}), rho, spec)
 
 
 # --- JSON (de)serialization -------------------------------------------------
+# A spec is the generator's arguments plus seed (and rho and role for a pair
+# member), so replay is one generator call.  A single mlp-1h spec written
+# before dim was recorded has no dim; 0 lets the generator derive it.
 
 def task_to_json(task: Task) -> str:
     return json.dumps(task.to_spec(), sort_keys=True)
 
 
 def transfer_pair_from_spec(spec: dict) -> TransferPair:
-    spec = dict(spec)
-    spec.pop("role", None)
-    kind = spec["kind"]
-    rng = RandomSource(spec["seed"])
-    kwargs = dict(n_samples=spec.get("n_samples", 512),
-                  center_scale=spec.get("center_scale", 1.0),
-                  label_noise=spec.get("label_noise", 0.0),
-                  noise_std=spec.get("noise_std"))
-    if kind == "mlp-1h":
-        kwargs["mlp_dims"] = (spec["dim_in"], spec["hidden"], spec["classes"])
-    return gen_transfer_pair(kind, spec["dim"], spec["rho"], rng, **kwargs)
+    kw = dict(spec)
+    kw.pop("role", None)
+    return gen_transfer_pair(kw.pop("kind"), kw.pop("dim"), kw.pop("rho"),
+                             RandomSource(kw.pop("seed")), **kw)
 
 
 def task_from_spec(spec: dict) -> Task:
-    spec = dict(spec)
     if "role" in spec:
         pair = transfer_pair_from_spec(spec)
         return pair.source if spec["role"] == "source" else pair.target
-    kind = spec["kind"]
-    rng = RandomSource(spec["seed"])
-    if kind == "quadratic":
-        return gen_quadratic_task(spec["dim"], rng)
-    if kind == "linear-regression":
-        return gen_linear_regression_task(spec["dim"], spec["n_samples"], rng,
-                                          noise_std=spec.get("noise_std", 0.1))
-    if kind == "logistic-regression":
-        return gen_logistic_regression_task(spec["dim"], spec["n_samples"], rng)
-    if kind == "mlp-1h":
-        return make_mlp_task(spec["dim_in"], spec["hidden"], spec["classes"],
-                             spec["n_samples"], rng,
-                             center_scale=spec.get("center_scale", 1.0),
-                             noise_std=spec.get("noise_std", 1.0),
-                             label_noise=spec.get("label_noise", 0.0))
-    raise UnsupportedTaskError(f"unknown task kind in spec: {kind!r}")
+    kw = dict(spec)
+    return gen_task(kw.pop("kind"), kw.pop("dim", 0), RandomSource(kw.pop("seed")), **kw)
 
 
 def task_from_json(text: str) -> Task:

@@ -21,10 +21,7 @@ from recadamlab.optim import (AdamConfig, AdamState, adam_step, adamw_step,
 from recadamlab.recall import (PenaltyModel, analytic_hessian_quadratic,
                                estimate_diag_fisher, penalty_grad, penalty_loss)
 from recadamlab.shifting import AnnealSchedule, lambda_at
-from recadamlab.tasks import (LinearRegressionTask, finite_diff_grad,
-                              gen_linear_regression_task,
-                              gen_logistic_regression_task, gen_quadratic_task,
-                              make_mlp_task)
+from recadamlab.tasks import LinearRegressionTask, finite_diff_grad, gen_task
 
 from scalar_oracle import quadratic_bowl_trace
 
@@ -248,10 +245,11 @@ def test_criterion_5_gradient_correctness():
     worst = 0.0
     for trial in range(20):
         src = RandomSource(9000 + trial)
-        tasks = [gen_quadratic_task(5, src.child("q")),
-                 gen_linear_regression_task(5, 30, src.child("lin")),
-                 gen_logistic_regression_task(5, 30, src.child("log")),
-                 make_mlp_task(3, 4, 2, 30, src.child("mlp"))]
+        tasks = [gen_task("quadratic", 5, src.child("q")),
+                 gen_task("linear-regression", 5, src.child("lin"), n_samples=30),
+                 gen_task("logistic-regression", 5, src.child("log"), n_samples=30),
+                 gen_task("mlp-1h", 0, src.child("mlp"), dim_in=3, hidden=4, classes=2,
+                          n_samples=30)]
         for task in tasks:
             theta = rng.normal(size=task.dim)
             batch = None
@@ -283,7 +281,7 @@ def test_criterion_5_gradient_correctness():
 
 
 def test_criterion_6_pretraining_simulation_exactness():
-    task = gen_quadratic_task(9, RandomSource(600))
+    task = gen_task("quadratic", 9, RandomSource(600))
     hess = analytic_hessian_quadratic(task)
     rng = np.random.default_rng(6)
     for _ in range(30):

@@ -72,6 +72,22 @@ def test_config_error_exit_code(tmp_path):
     assert main(["pretrain", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("line", ["transfer.n_samples=0", "transfer.n_samples=-3",
+                                  "penalty.fisher_samples=0", "transfer.label_noise=2.0",
+                                  "transfer.label_noise=-0.1"])
+def test_out_of_range_size_is_a_config_error(tmp_path, capsys, line):
+    key = line.split("=")[0]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CONFIG.format(out=tmp_path / "exp").replace("transfer.kind=quadratic",
+                                                               "transfer.kind=logistic-regression")
+                   + "penalty.kind=diagonal-fisher\n" + line + "\n")
+    # the config is refused before any work: no pretraining, no theta_star read
+    assert main(["pretrain", "--config", str(bad)]) == 2
+    assert main(["finetune", "--config", str(bad), "--theta-star", str(tmp_path / "none")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {key}") == 2
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_exit_code(tmp_path, config_path):
     out = tmp_path / "exp"

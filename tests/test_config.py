@@ -107,6 +107,8 @@ output_dir=out
     assert cfg.transfer.dim == 16 * 11 + 3 * 17
     with pytest.raises(ConfigError, match="parameter count"):
         config_from_values(parse_flat_text(text + "transfer.dim=100\n"))
+    with pytest.raises(ConfigError, match="dim_in must be >= 1"):
+        config_from_values(parse_flat_text(text.replace("dim_in=10", "dim_in=0")))
 
 
 def test_config_hash_ignores_seeds_and_output_dir():

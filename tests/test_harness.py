@@ -386,6 +386,26 @@ class TestReadTrace:
         path.write_text("".join(lines))
         self._assert_report_is_no_data(out, path, capsys)
 
+    def _set_steps(self, path, steps):
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{step}," + row.split(",", 1)[1] for step, row in zip(steps, rows)]
+        path.write_text("\n".join([header] + rows) + "\n")
+
+    def test_non_integer_step_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        self._set_steps(path, ["1", "1.5", "3", "4", "5"])
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_step_gap_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        self._set_steps(path, ["1", "2", "3", "4", "7"])
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_reordered_steps_are_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        self._set_steps(path, ["1", "3", "2", "4", "5"])
+        self._assert_report_is_no_data(out, path, capsys)
+
     def test_trailing_blank_line_is_not_an_error(self, tmp_path):
         out, path = self._completed_run(tmp_path)
         intact = read_trace(path)

@@ -1,10 +1,12 @@
 """The benchmark's span tracer still fits the library it wraps.
 
 ``perfbench/tracer.py`` replaces library functions by their names in the
-``harness``, ``optim`` and ``cli`` modules.  Installing it fails if one of
-those names has gone; a traced run must count each optimizer step once,
-under the span of the run's own stepper, and a traced report must count
-one trace read per run and the rows it read.
+``harness``, ``optim`` and ``cli`` modules, and each task class's own
+``loss_and_grad`` and ``per_sample_loglik_grads``.  Installing it fails if
+one of those names has gone; a traced run must count each optimizer step
+once, under the span of the run's own stepper, and each task gradient once,
+on every task kind; a traced report must count one trace read per run and
+the rows it read.
 """
 
 import importlib.util
@@ -68,3 +70,43 @@ def test_traced_report_counts_one_read_per_run_and_its_rows(tmp_path):
     assert tracer.calls["harness.report"] == 1
     assert tracer.calls["harness.read_trace"] == 2
     assert tracer.units["harness.read_trace"] == 2 * 20
+
+
+# transfer lines that replace CFG's quadratic task, per task kind
+TASK_LINES = {
+    "quadratic": "transfer.kind=quadratic\ntransfer.dim=6",
+    "linear-regression": "transfer.kind=linear-regression\ntransfer.dim=6\n"
+                         "transfer.n_samples=64",
+    "logistic-regression": "transfer.kind=logistic-regression\ntransfer.dim=6\n"
+                           "transfer.n_samples=64",
+    "mlp-1h": "transfer.kind=mlp-1h\ntransfer.dim_in=3\ntransfer.hidden=4\n"
+              "transfer.classes=2\ntransfer.n_samples=64",
+}
+
+
+def task_cfg(tmp_path, task_kind, penalty="isotropic"):
+    text = CFG.format(kind="recadam", out=tmp_path).replace(
+        "transfer.kind=quadratic\ntransfer.dim=6", TASK_LINES[task_kind]).replace(
+        "penalty.kind=isotropic", f"penalty.kind={penalty}\npenalty.fisher_samples=32")
+    return config_from_values(parse_flat_text(text))
+
+
+@pytest.mark.parametrize("task_kind", sorted(TASK_LINES))
+def test_traced_finetune_counts_one_task_gradient_per_step(tmp_path, task_kind):
+    # a task class that inherits loss_and_grad would leave the span unpatched
+    cfg = task_cfg(tmp_path, task_kind)
+    theta_star, _ = harness.pretrain(cfg, write_outputs=False)
+    with load_tracer().Tracer().installed() as tracer:
+        trace, _ = harness.finetune(cfg, theta_star, seed=0)
+    assert len(trace) == 20
+    assert tracer.calls["tasks.loss_and_grad"] == 20 + 1  # plus the summary's full-data loss
+    assert tracer.calls["tasks.per_sample_loglik_grads"] == 0
+
+
+def test_traced_diagonal_fisher_counts_one_per_sample_gradient_call(tmp_path):
+    cfg = task_cfg(tmp_path, "logistic-regression", penalty="diagonal-fisher")
+    theta_star, _ = harness.pretrain(cfg, write_outputs=False)
+    with load_tracer().Tracer().installed() as tracer:
+        harness.finetune(cfg, theta_star, seed=0)
+    assert tracer.calls["recall.estimate_diag_fisher"] == 1
+    assert tracer.calls["tasks.per_sample_loglik_grads"] == 1

@@ -7,8 +7,7 @@ from recadamlab.recall import (HessianSummary, PenaltyModel,
                                analytic_hessian_quadratic, estimate_diag_fisher,
                                fit_isotropic_gamma, load_penalty, penalty_grad,
                                penalty_loss, save_penalty)
-from recadamlab.tasks import (LinearRegressionTask, LogisticRegressionTask,
-                              gen_quadratic_task, make_mlp_task)
+from recadamlab.tasks import LinearRegressionTask, LogisticRegressionTask, gen_task
 
 
 def fd_penalty_grad(pen, theta, h=1.0):
@@ -154,13 +153,14 @@ class TestFisherEstimation:
         assert 0.25 * 0.75 <= ratio <= 0.25 * 1.25
 
     def test_quadratic_task_is_unsupported(self):
-        task = gen_quadratic_task(3, RandomSource(0))
+        task = gen_task("quadratic", 3, RandomSource(0))
         with pytest.raises(UnsupportedTaskError):
             estimate_diag_fisher(task, np.zeros(3), 10, RandomSource(0))
 
     def test_mlp_per_sample_grads_square_to_batch_consistency(self):
         # mean per-sample log-lik gradient equals -batch gradient
-        task = make_mlp_task(3, 4, 3, 50, RandomSource(71))
+        task = gen_task("mlp-1h", 0, RandomSource(71), dim_in=3, hidden=4, classes=3,
+                        n_samples=50)
         theta = RandomSource(72).normal(task.dim)
         per_sample = task.per_sample_loglik_grads(theta, np.arange(50))
         _, batch_grad = task.loss_and_grad(theta, None)
@@ -175,7 +175,7 @@ class TestAnalyticHessian:
         assert np.array_equal(hess.full, np.eye(3))
 
     def test_laplace_expansion_reproduces_loss_exactly(self):
-        task = gen_quadratic_task(10, RandomSource(17))
+        task = gen_task("quadratic", 10, RandomSource(17))
         hess = analytic_hessian_quadratic(task)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -185,7 +185,8 @@ class TestAnalyticHessian:
             assert abs(expansion - loss) <= 1e-12 * max(1.0, abs(loss))
 
     def test_non_quadratic_rejected(self):
-        task = make_mlp_task(2, 2, 2, 10, RandomSource(0))
+        task = gen_task("mlp-1h", 0, RandomSource(0), dim_in=2, hidden=2, classes=2,
+                        n_samples=10)
         with pytest.raises(UnsupportedTaskError):
             analytic_hessian_quadratic(task)
 

@@ -1,16 +1,15 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from recadamlab.errors import InvalidBatchError, UnsupportedTaskError
+from recadamlab.errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.tasks import (LinearRegressionTask, QuadraticTask,
-                              batch_stream, finite_diff_grad,
-                              gen_linear_regression_task,
-                              gen_logistic_regression_task, gen_quadratic_task,
-                              gen_transfer_pair, make_mlp_task, task_from_json,
-                              task_from_spec, task_to_json,
+from recadamlab.tasks import (LinearRegressionTask, QuadraticTask, batch_stream,
+                              finite_diff_grad, gen_task, gen_transfer_pair,
+                              task_from_json, task_from_spec, task_to_json,
                               transfer_pair_from_spec)
 
 
@@ -21,10 +20,10 @@ def rel_err(approx, exact):
 def make_each_kind(seed=0, dim=6):
     rng = RandomSource(seed)
     return [
-        gen_quadratic_task(dim, rng.child("q")),
-        gen_linear_regression_task(dim, 40, rng.child("lin")),
-        gen_logistic_regression_task(dim, 40, rng.child("log")),
-        make_mlp_task(3, 4, 2, 40, rng.child("mlp")),
+        gen_task("quadratic", dim, rng.child("q")),
+        gen_task("linear-regression", dim, rng.child("lin"), n_samples=40),
+        gen_task("logistic-regression", dim, rng.child("log"), n_samples=40),
+        gen_task("mlp-1h", 0, rng.child("mlp"), dim_in=3, hidden=4, classes=2, n_samples=40),
     ]
 
 
@@ -42,13 +41,13 @@ class TestQuadratic:
         assert np.array_equal(grad, [3.0, 4.0])
 
     def test_generated_center_is_exact_zero(self):
-        task = gen_quadratic_task(9, RandomSource(3))
+        task = gen_task("quadratic", 9, RandomSource(3))
         loss, grad = task.loss_and_grad(task.center)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros(9))
 
     def test_curvature_is_spd_with_moderate_conditioning(self):
-        task = gen_quadratic_task(14, RandomSource(4))
+        task = gen_task("quadratic", 14, RandomSource(4))
         eig = np.linalg.eigvalsh(task.curvature)
         assert eig.min() > 0
         assert eig.max() / eig.min() <= 100.0 + 1e-6
@@ -87,7 +86,7 @@ class TestGradientCorrectness:
 
 class TestBatches:
     def test_batch_mean_linearity(self):
-        task = gen_linear_regression_task(5, 60, RandomSource(8))
+        task = gen_task("linear-regression", 5, RandomSource(8), n_samples=60)
         theta = RandomSource(9).normal(5)
         full_loss, full_grad = task.loss_and_grad(theta, None)
         idx = np.arange(60)
@@ -109,7 +108,7 @@ class TestBatches:
             assert np.array_equal(x, y)
 
     def test_invalid_batches_rejected(self):
-        task = gen_linear_regression_task(4, 20, RandomSource(2))
+        task = gen_task("linear-regression", 4, RandomSource(2), n_samples=20)
         with pytest.raises(InvalidBatchError):
             task.loss_and_grad(np.zeros(4), np.array([], dtype=int))
         with pytest.raises(InvalidBatchError):
@@ -120,21 +119,24 @@ class TestBatches:
 
 class TestMlp:
     def test_parameter_count(self):
-        task = make_mlp_task(2, 3, 2, 10, RandomSource(0))
+        task = gen_task("mlp-1h", 0, RandomSource(0), dim_in=2, hidden=3, classes=2,
+                        n_samples=10)
         assert task.dim == 17
 
     def test_zero_weights_balanced_two_class_loss_is_ln2(self):
-        task = make_mlp_task(4, 5, 2, 16, RandomSource(1))
+        task = gen_task("mlp-1h", 0, RandomSource(1), dim_in=4, hidden=5, classes=2,
+                        n_samples=16)
         loss, _ = task.loss_and_grad(np.zeros(task.dim), None)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            make_mlp_task(0, 3, 2, 10, RandomSource(0))
+            gen_task("mlp-1h", 0, RandomSource(0), dim_in=0, hidden=3, classes=2, n_samples=10)
 
     def test_label_noise_flips_some_labels(self):
-        clean = make_mlp_task(3, 4, 3, 400, RandomSource(7), label_noise=0.0)
-        noisy = make_mlp_task(3, 4, 3, 400, RandomSource(7), label_noise=0.3)
+        sizes = dict(dim_in=3, hidden=4, classes=3, n_samples=400)
+        clean = gen_task("mlp-1h", 0, RandomSource(7), **sizes, label_noise=0.0)
+        noisy = gen_task("mlp-1h", 0, RandomSource(7), **sizes, label_noise=0.3)
         assert np.array_equal(clean.features, noisy.features)
         assert 0 < np.sum(clean.labels != noisy.labels) < 400
 
@@ -145,7 +147,7 @@ class TestTransferPairs:
         assert np.array_equal(pair.source.center, pair.target.center)
         assert np.array_equal(pair.source.curvature, pair.target.curvature)
         pair = gen_transfer_pair("mlp-1h", 0, 1.0, RandomSource(10),
-                                 mlp_dims=(4, 5, 3), n_samples=30)
+                                 dim_in=4, hidden=5, classes=3, n_samples=30)
         assert np.array_equal(pair.source.features, pair.target.features)
         assert np.array_equal(pair.source.labels, pair.target.labels)
 
@@ -163,9 +165,10 @@ class TestTransferPairs:
         rho = 0.5
         root = RandomSource(7)
         pair = gen_transfer_pair("quadratic", 20, rho, root)
-        from recadamlab.tasks import _draw_quadratic_params
-        src = _draw_quadratic_params(20, root.child("source-params"))
-        ind = _draw_quadratic_params(20, root.child("independent-params"))
+        from recadamlab.tasks import _KINDS
+        draw = _KINDS["quadratic"].draw
+        src = draw(root.child("source-params"), {"dim": 20})
+        ind = draw(root.child("independent-params"), {"dim": 20})
         expected = rho * src["center"] + (1 - rho) * ind["center"]
         assert np.array_equal(pair.target.center, expected)
         assert np.array_equal(pair.source.center, src["center"])
@@ -174,9 +177,10 @@ class TestTransferPairs:
         pair = gen_transfer_pair("linear-regression", 30, 0.0, RandomSource(13),
                                  n_samples=10)
         root = RandomSource(13)
-        from recadamlab.tasks import _draw_linreg_params
-        ind = _draw_linreg_params(30, root.child("independent-params"))
-        src = _draw_linreg_params(30, root.child("source-params"))
+        from recadamlab.tasks import _KINDS
+        draw = _KINDS["linear-regression"].draw
+        ind = draw(root.child("independent-params"), {"dim": 30})
+        src = draw(root.child("source-params"), {"dim": 30})
         # exact independent draw, uncorrelated with the source weights
         target_w = ind["weights"]
         assert abs(np.corrcoef(target_w, src["weights"])[0, 1]) < 0.5
@@ -189,7 +193,7 @@ class TestTransferPairs:
 
     def test_source_and_target_dims_match(self):
         pair = gen_transfer_pair("mlp-1h", 0, 0.3, RandomSource(5),
-                                 mlp_dims=(3, 4, 2), n_samples=12)
+                                 dim_in=3, hidden=4, classes=2, n_samples=12)
         assert pair.source.dim == pair.target.dim == 4 * 4 + 2 * 5
 
 
@@ -206,7 +210,7 @@ class TestSerialization:
 
     def test_transfer_pair_roundtrip(self):
         pair = gen_transfer_pair("mlp-1h", 0, 0.7, RandomSource(77),
-                                 mlp_dims=(4, 6, 3), n_samples=20,
+                                 dim_in=4, hidden=6, classes=3, n_samples=20,
                                  label_noise=0.1)
         clone = transfer_pair_from_spec(pair.to_spec())
         assert np.array_equal(pair.target.features, clone.target.features)
@@ -223,3 +227,181 @@ class TestSerialization:
         task = QuadraticTask(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             task.to_spec()
+
+
+def array_digest(task):
+    """sha256 over a task's arrays: field name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(task):
+        value = getattr(task, f.name)
+        if isinstance(value, np.ndarray):
+            h.update(f"{f.name}:{value.dtype.str}:{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+# (kind, dim, seed, sizes) -> digest of every array the task holds.  The
+# digests were taken from the per-kind generators the task table replaced.
+SINGLE_TASKS = {
+    "quadratic": (
+        ("quadratic", 7, 3, {}),
+        "62b8d691034905892509a70c6055bbc4c24030669f38cef46563365f07cc418e"),
+    "linear-regression": (
+        ("linear-regression", 5, 4, {"n_samples": 40}),
+        "3149cb76feef322f59e4cd21d71092d49df54bc0441afc5dcb6d4f040fe68411"),
+    "linear-regression-noise": (
+        ("linear-regression", 5, 4, {"n_samples": 40, "noise_std": 0.3}),
+        "9537283d5e3d22f7d8425e226957b070180111f9406390157940a32badac1bf4"),
+    "logistic-regression": (
+        ("logistic-regression", 6, 5, {"n_samples": 50}),
+        "8e19ef5c551478654547cf7e352daa04051c44834bbef8dd1df5fe964df80b7f"),
+    "mlp-1h": (
+        ("mlp-1h", 0, 6, {"dim_in": 3, "hidden": 4, "classes": 2, "n_samples": 40}),
+        "6acf3ea6b71a115398a9a99e5511d4559b99a80827e6651856f046a311f4774e"),
+    "mlp-1h-options": (
+        ("mlp-1h", 0, 7, {"dim_in": 3, "hidden": 4, "classes": 3, "n_samples": 60,
+                          "center_scale": 2.5, "noise_std": 0.5, "label_noise": 0.2}),
+        "3c7f4d76e6abc8f5f581dc650e394e128bab09c6843d523bf5219726a8e614a8"),
+}
+
+# (kind, dim, rho, seed, sizes) -> digests of the source and the target
+TRANSFER_PAIRS = {
+    "quadratic": (
+        ("quadratic", 6, 0.3, 8, {}),
+        ("a9cb8cf44d8c1dd2d2a43860ae54c328297ff11a5d466ac31e32042bf7f49a5b",
+         "4e0e637e370484b4ba5ecacf79bd653eed7ad91909ffc84b2a21a1f697561794")),
+    "linear-regression": (
+        ("linear-regression", 5, 0.6, 9, {"n_samples": 30, "noise_std": 0.25}),
+        ("4240ad222bb81ea5ebdcc679267a7b573aeea1c499be6279d729d8dcf45e658b",
+         "7c721968dd68e26de35212bf54d864fb4e08168fcdc7d8889e0c6066172b8d85")),
+    "linear-regression-default": (
+        ("linear-regression", 4, 0.2, 12, {"n_samples": 20}),
+        ("27d54159893961998f2f1270ed3c86dc90f2243d3fa938a8e07b08f9ec375507",
+         "1703b5124d5135fe37543a16fbd91b1e7edde4c20d1c0d9034592b31dc6e2547")),
+    "logistic-regression": (
+        ("logistic-regression", 4, 0.5, 10, {"n_samples": 35}),
+        ("1376c19a62c0101eff076444924584930625aea52ee04d4d1891e63f84c60f87",
+         "32acaa749f6ee35bc2348816f5051864ac9b0ebae98f3e5bcea8bee96b7e2325")),
+    "mlp-1h-default": (
+        ("mlp-1h", 0, 0.4, 13, {"dim_in": 2, "hidden": 3, "classes": 2, "n_samples": 15}),
+        ("624394b9f7d73f674a380c6fdd70b3865e7531784777cf973220cf71d5839914",
+         "8f9f08fa1fc120d93efcbe8b7342b1f0a405aaaa649d71432013417c4ac7db27")),
+    "mlp-1h": (
+        ("mlp-1h", 0, 0.7, 11, {"dim_in": 3, "hidden": 4, "classes": 3, "n_samples": 25,
+                                "center_scale": 1.5, "noise_std": 0.8, "label_noise": 0.25}),
+        ("8ef2bd3ec35cc2877c494db7a4796e9a7b1933585e5064bd3807429af6ba2118",
+         "7a618bb02718ded71625dcfe4c2f9751de8e23316c2ea32f1a5d4acb36ff795c")),
+}
+
+# The specs the per-kind generators recorded for the cases above, written
+# out as they were: a single mlp-1h spec had no dim, and a pair spec kept
+# size keywords its kind does not use.
+OLD_SINGLE_SPECS = {
+    "quadratic": {"kind": "quadratic", "dim": 7, "seed": 3},
+    "linear-regression": {"kind": "linear-regression", "dim": 5, "seed": 4,
+                          "n_samples": 40, "noise_std": 0.1},
+    "linear-regression-noise": {"kind": "linear-regression", "dim": 5, "seed": 4,
+                                "n_samples": 40, "noise_std": 0.3},
+    "logistic-regression": {"kind": "logistic-regression", "dim": 6, "seed": 5,
+                            "n_samples": 50},
+    "mlp-1h": {"kind": "mlp-1h", "dim_in": 3, "hidden": 4, "classes": 2, "seed": 6,
+               "n_samples": 40, "center_scale": 1.0, "noise_std": 1.0,
+               "label_noise": 0.0},
+    "mlp-1h-options": {"kind": "mlp-1h", "dim_in": 3, "hidden": 4, "classes": 3, "seed": 7,
+                       "n_samples": 60, "center_scale": 2.5, "noise_std": 0.5,
+                       "label_noise": 0.2},
+}
+OLD_PAIR_SPECS = {
+    "quadratic": {"kind": "quadratic", "dim": 6, "rho": 0.3, "seed": 8,
+                  "n_samples": 512, "center_scale": 1.0, "label_noise": 0.0},
+    "linear-regression": {"kind": "linear-regression", "dim": 5, "rho": 0.6, "seed": 9,
+                          "n_samples": 30, "center_scale": 1.0, "label_noise": 0.0,
+                          "noise_std": 0.25},
+    "linear-regression-default": {"kind": "linear-regression", "dim": 4, "rho": 0.2,
+                                  "seed": 12, "n_samples": 20, "center_scale": 1.0,
+                                  "label_noise": 0.0, "noise_std": 0.1},
+    "logistic-regression": {"kind": "logistic-regression", "dim": 4, "rho": 0.5,
+                            "seed": 10, "n_samples": 35, "center_scale": 1.0,
+                            "label_noise": 0.0},
+    "mlp-1h-default": {"kind": "mlp-1h", "dim": 17, "rho": 0.4, "seed": 13,
+                       "n_samples": 15, "center_scale": 1.0, "label_noise": 0.0,
+                       "dim_in": 2, "hidden": 3, "classes": 2, "noise_std": 1.0},
+    "mlp-1h": {"kind": "mlp-1h", "dim": 31, "rho": 0.7, "seed": 11, "n_samples": 25,
+               "center_scale": 1.5, "label_noise": 0.25, "dim_in": 3, "hidden": 4,
+               "classes": 3, "noise_std": 0.8},
+}
+
+
+class TestGeneratorBits:
+    @pytest.mark.parametrize("case", sorted(SINGLE_TASKS))
+    def test_single_task_arrays_are_pinned(self, case):
+        (kind, dim, seed, sizes), expected = SINGLE_TASKS[case]
+        task = gen_task(kind, dim, RandomSource(seed), **sizes)
+        assert array_digest(task) == expected
+        assert array_digest(task_from_spec(task.to_spec())) == expected
+        assert array_digest(task_from_json(task_to_json(task))) == expected
+
+    @pytest.mark.parametrize("case", sorted(TRANSFER_PAIRS))
+    def test_transfer_pair_arrays_are_pinned(self, case):
+        (kind, dim, rho, seed, sizes), expected = TRANSFER_PAIRS[case]
+        pair = gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
+        assert (array_digest(pair.source), array_digest(pair.target)) == expected
+        clone = transfer_pair_from_spec(pair.to_spec())
+        assert (array_digest(clone.source), array_digest(clone.target)) == expected
+        members = (task_from_spec(pair.source.to_spec()), task_from_spec(pair.target.to_spec()))
+        assert tuple(map(array_digest, members)) == expected
+
+    @pytest.mark.parametrize("case", sorted(OLD_SINGLE_SPECS))
+    def test_old_single_spec_rebuilds_the_same_arrays(self, case):
+        task = task_from_spec(OLD_SINGLE_SPECS[case])
+        assert array_digest(task) == SINGLE_TASKS[case][1]
+
+    @pytest.mark.parametrize("case", sorted(OLD_PAIR_SPECS))
+    def test_old_pair_spec_rebuilds_the_same_arrays(self, case):
+        spec = OLD_PAIR_SPECS[case]
+        pair = transfer_pair_from_spec(spec)
+        expected = TRANSFER_PAIRS[case][1]
+        assert (array_digest(pair.source), array_digest(pair.target)) == expected
+        members = (task_from_spec({**spec, "role": "source"}),
+                   task_from_spec({**spec, "role": "target"}))
+        assert tuple(map(array_digest, members)) == expected
+
+    def test_spec_is_the_generator_arguments_plus_seed(self):
+        task = gen_task("mlp-1h", 0, RandomSource(6), dim_in=3, hidden=4, classes=2,
+                        n_samples=40)
+        assert task.to_spec() == {"kind": "mlp-1h", "dim": 26, "seed": 6, "dim_in": 3,
+                                  "hidden": 4, "classes": 2, "n_samples": 40,
+                                  "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}
+        pair = gen_transfer_pair("quadratic", 6, 0.3, RandomSource(8), n_samples=512)
+        assert pair.target.to_spec() == {"kind": "quadratic", "dim": 6, "seed": 8,
+                                         "rho": 0.3, "role": "target"}
+
+
+class TestSizeChecks:
+    def test_quadratic_needs_a_positive_dim(self):
+        with pytest.raises(ValueError, match="dim"):
+            gen_transfer_pair("quadratic", 0, 0.5, RandomSource(0))
+        with pytest.raises(ValueError, match="dim"):
+            gen_task("quadratic", 0, RandomSource(0))
+
+    @pytest.mark.parametrize("kind, dim, sizes", [
+        ("linear-regression", 4, {}), ("logistic-regression", 4, {}),
+        ("mlp-1h", 0, {"dim_in": 3, "hidden": 4, "classes": 2})])
+    def test_data_kinds_need_samples(self, kind, dim, sizes):
+        with pytest.raises(ValueError, match="n_samples"):
+            gen_transfer_pair(kind, dim, 0.5, RandomSource(0), n_samples=0, **sizes)
+        with pytest.raises(ValueError, match="n_samples"):
+            gen_task(kind, dim, RandomSource(0), n_samples=-3, **sizes)
+
+    def test_mlp_dim_must_match_its_layer_sizes(self):
+        with pytest.raises(DimensionError, match="parameter count is 17"):
+            gen_task("mlp-1h", 16, RandomSource(0), dim_in=2, hidden=3, classes=2)
+
+    def test_label_noise_is_a_probability(self):
+        with pytest.raises(ValueError, match="label_noise"):
+            gen_task("mlp-1h", 0, RandomSource(0), dim_in=2, hidden=3, classes=2,
+                     label_noise=2.0)
+
+    def test_unknown_keyword_is_an_error(self):
+        with pytest.raises(TypeError, match="n_sample"):
+            gen_task("linear-regression", 4, RandomSource(0), n_sample=10)
