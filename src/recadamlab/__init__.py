@@ -11,12 +11,11 @@ from .numkit import RandomSource, l2_distance
 from .optim import (AdamConfig, AdamState, ScheduleMultiplier, adam_step,
                     adamw_step, coupled_recadam_step, recadam_step,
                     recadam_step_parts, schedule_multiplier)
-from .recall import (HessianSummary, PenaltyModel, analytic_hessian_quadratic,
-                     estimate_diag_fisher, fit_isotropic_gamma, load_penalty,
-                     penalty_grad, penalty_loss, save_penalty)
+from .recall import (PenaltyModel, analytic_hessian_quadratic, estimate_diag_fisher,
+                     penalty_grad, penalty_loss)
 from .shifting import AnnealSchedule, composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import (Task, TransferPair, batch_stream, finite_diff_grad, gen_task,
-                    gen_transfer_pair, task_from_json, task_from_spec, task_to_json)
+                    gen_transfer_pair, task_from_spec)
 
 __version__ = "0.1.0"

@@ -40,6 +40,8 @@ TRACE_COLUMNS = ("step", "lambda", "target_loss", "penalty_value",
                  "composite_loss", "dist_to_pretrained", "grad_norm", "eta")
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
+_REFERENCE_FACTOR = 1.10  # see reference_threshold
+_REFERENCE_STEPS_MULTIPLIER = 2
 
 
 def _fmt(x: float) -> str:
@@ -265,22 +267,22 @@ def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
     )
 
 
-def reference_threshold(cfg: ExperimentConfig, theta_star: np.ndarray,
-                        factor: float = 1.10, steps_multiplier: int = 2) -> float:
-    """Default steps_to_threshold target: factor x best batch loss of a
-    long vanilla-Adam run (pretrained init, constant schedule)."""
+def reference_threshold(cfg: ExperimentConfig, theta_star: np.ndarray) -> float:
+    """Default steps_to_threshold target: _REFERENCE_FACTOR x the best batch
+    loss of a vanilla-Adam run _REFERENCE_STEPS_MULTIPLIER times as long as
+    finetune.steps (pretrained init, constant schedule)."""
     ref_cfg = dataclasses.replace(
         cfg,
         finetune=dataclasses.replace(
             cfg.finetune,
-            steps=cfg.finetune.steps * steps_multiplier,
+            steps=cfg.finetune.steps * _REFERENCE_STEPS_MULTIPLIER,
             optimizer_kind="adam",
             init="pretrained",
             schedule=dataclasses.replace(cfg.finetune.schedule, kind="constant"),
         ),
     )
     trace, _ = finetune(ref_cfg, theta_star, cfg.seeds[0])
-    return factor * float(trace.column("target_loss").min())
+    return _REFERENCE_FACTOR * float(trace.column("target_loss").min())
 
 
 SUMMARY_FIELDS = ("k", "t0", "gamma", "seed", "status", "final_target_loss",
@@ -292,13 +294,42 @@ def _run_id(k: float, t0: int, gamma: float, seed: int) -> str:
     return f"k{k:g}-t{t0}-g{gamma:g}-s{seed}"
 
 
+def _grid_runs(cfg: ExperimentConfig, grid: dict) -> dict:
+    """run id -> ({k, t0, gamma, seed}, run config) per grid point; a value the
+    config refuses or two points with one run id is a ConfigError."""
+    ks = grid.get("k") or (cfg.shifting.k,)
+    t0s = grid.get("t0") or (cfg.shifting.t0,)
+    gammas = grid.get("gamma") or (cfg.penalty.gamma,)
+    seeds = grid.get("seeds") or cfg.seeds
+    runs = {}
+    for k, t0, gamma in itertools.product(ks, t0s, gammas):
+        if gamma < 0:
+            raise ConfigError(f"grid gamma must be >= 0, got {gamma:g}")
+        try:  # AnnealSchedule checks k and t0
+            run_cfg = dataclasses.replace(
+                cfg,
+                shifting=dataclasses.replace(cfg.shifting, k=k, t0=t0),
+                penalty=dataclasses.replace(cfg.penalty, gamma=gamma),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from None
+        for seed in seeds:
+            run_id = _run_id(k, t0, gamma, seed)
+            if run_id in runs:
+                raise ConfigError(f"two grid points share the run directory {run_id}")
+            runs[run_id] = ({"k": k, "t0": t0, "gamma": gamma, "seed": seed}, run_cfg)
+    return runs
+
+
 def sweep(cfg: ExperimentConfig, grid: dict):
     """Run the Cartesian product of grid values over (k, t0, gamma, seeds).
 
     Grid entries left as None fall back to the base config's single value.
-    Each run gets its own directory under output_dir/runs; failures are
-    recorded in the summary table and skipped.
+    Every grid point is checked before pretraining.  Each run gets its own
+    directory under output_dir/runs; failures are recorded in the summary
+    table and skipped.
     """
+    runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     theta_path = out / "theta_star.bin"
@@ -307,35 +338,18 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     else:
         theta_star, _ = pretrain(cfg)
 
-    ks = grid.get("k") or (cfg.shifting.k,)
-    t0s = grid.get("t0") or (cfg.shifting.t0,)
-    gammas = grid.get("gamma") or (cfg.penalty.gamma,)
-    seeds = grid.get("seeds") or cfg.seeds
-
     rows = []
     summaries = []
-    for k, t0, gamma, seed in itertools.product(ks, t0s, gammas, seeds):
-        run_cfg = dataclasses.replace(
-            cfg,
-            shifting=dataclasses.replace(cfg.shifting, k=k, t0=t0),
-            penalty=dataclasses.replace(cfg.penalty, gamma=gamma),
-        )
-        run_dir = out / "runs" / _run_id(k, t0, gamma, seed)
+    for run_id, (point, run_cfg) in runs.items():
         try:
-            _, summary = finetune(run_cfg, theta_star, seed, run_dir=run_dir)
+            _, summary = finetune(run_cfg, theta_star, point["seed"],
+                                  run_dir=out / "runs" / run_id)
         except NumericError as exc:
-            rows.append({"k": k, "t0": t0, "gamma": gamma, "seed": seed,
-                         "status": f"failed:step{exc.step}", "config_hash":
-                         run_cfg.config_hash()})
+            rows.append({**point, "status": f"failed:step{exc.step}",
+                         "config_hash": run_cfg.config_hash()})
             continue
         summaries.append(summary)
-        rows.append({"k": k, "t0": t0, "gamma": gamma, "seed": seed,
-                     "status": "ok",
-                     "final_target_loss": summary.final_target_loss,
-                     "best_target_loss": summary.best_target_loss,
-                     "steps_to_threshold": summary.steps_to_threshold,
-                     "final_dist_to_pretrained": summary.final_dist_to_pretrained,
-                     "config_hash": summary.config_hash})
+        rows.append({**point, **summary.to_dict(), "status": "ok"})
 
     with open(out / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,18 +7,14 @@ are the exactness oracle for the first step: their Hessian is the
 curvature matrix itself, so the expansion reproduces the loss.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, UnsupportedTaskError
 from .numkit import RandomSource, check_same_length
-from .storage import read_vector, write_vector
 from .tasks import QuadraticTask, Task
 
 PENALTY_KINDS = ("none", "isotropic", "diagonal-fisher")
@@ -114,56 +110,8 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
     return fisher, n_rows
 
 
-@dataclass(frozen=True)
-class HessianSummary:
-    full: Optional[np.ndarray] = None
-    diagonal: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.full is None and self.diagonal is None:
-            raise ValueError("need a full matrix or a diagonal")
-        if self.full is not None:
-            if not np.allclose(self.full, self.full.T, atol=1e-12):
-                raise ValueError("full Hessian must be symmetric")
-
-    def diag(self) -> np.ndarray:
-        return self.diagonal if self.diagonal is not None else np.diag(self.full)
-
-
-def analytic_hessian_quadratic(task: Task) -> HessianSummary:
-    """Exact Hessian of a quadratic task (the Laplace-exactness oracle)."""
+def analytic_hessian_quadratic(task: Task) -> np.ndarray:
+    """Exact (d, d) Hessian of a quadratic task (the Laplace-exactness oracle)."""
     if not isinstance(task, QuadraticTask):
         raise UnsupportedTaskError("analytic Hessian is only available for quadratic tasks")
-    return HessianSummary(full=task.curvature, diagonal=np.diag(task.curvature).copy())
-
-
-def fit_isotropic_gamma(hess: HessianSummary) -> float:
-    """Least-squares scalar fit to the Hessian diagonal (its mean)."""
-    return float(np.mean(hess.diag()))
-
-
-# --- (de)serialization ------------------------------------------------------
-
-def save_penalty(pen: PenaltyModel, json_path: str | os.PathLike) -> None:
-    """Write the model as JSON plus binary sidecars next to it."""
-    path = Path(json_path)
-    doc = {"kind": pen.kind, "gamma": pen.gamma, "n_obs": pen.n_obs}
-    theta_name = path.stem + "_theta_star.bin"
-    write_vector(path.parent / theta_name, pen.theta_star)
-    doc["theta_star"] = theta_name
-    if pen.fisher_diag is not None:
-        fisher_name = path.stem + "_fisher_diag.bin"
-        write_vector(path.parent / fisher_name, pen.fisher_diag)
-        doc["fisher_diag"] = fisher_name
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2))
-
-
-def load_penalty(json_path: str | os.PathLike) -> PenaltyModel:
-    path = Path(json_path)
-    doc = json.loads(path.read_text())
-    theta_star = read_vector(path.parent / doc["theta_star"])
-    fisher = None
-    if "fisher_diag" in doc:
-        fisher = read_vector(path.parent / doc["fisher_diag"])
-    return PenaltyModel(doc["kind"], theta_star, gamma=doc.get("gamma", 0.0),
-                        fisher_diag=fisher, n_obs=doc.get("n_obs", 1))
+    return task.curvature

@@ -1,6 +1,6 @@
 """Binary vector files: 8-byte little-endian length header + float64 data.
 
-Shared by parameter checkpoints and penalty-model sidecar files.  A file
+The format of parameter checkpoints such as theta_star.bin.  A file
 whose size is not exactly 8 + 8 * length bytes is rejected before its
 data is read.
 """

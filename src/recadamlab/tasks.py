@@ -18,7 +18,6 @@ relatedness knob rho; the dataset noise stream is shared between source
 and target so rho = 1 yields an identical task.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -174,6 +173,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mlp_dim(dim_in: int, hidden: int, classes: int) -> int:
+    return hidden * (dim_in + 1) + classes * (hidden + 1)
+
+
 @dataclass
 class MlpTask(Task):
     """One-hidden-layer tanh network with softmax cross entropy.
@@ -191,42 +194,39 @@ class MlpTask(Task):
     kind: str = field(default="mlp-1h", init=False)
 
     def __post_init__(self):
-        self.dim = self.hidden * (self.dim_in + 1) + self.classes * (self.hidden + 1)
+        self.dim = _mlp_dim(self.dim_in, self.hidden, self.classes)
         if self.features.shape[1] != self.dim_in:
             raise DimensionError("feature width must equal dim_in")
         if self.labels.shape != (self.features.shape[0],):
             raise DimensionError("labels must have one row per feature row")
 
-    def unpack(self, theta: np.ndarray):
+    def _forward(self, theta, X):
+        """Unpack theta once and run X through the network: (W2, hidden
+        activations, logits, log-sum-exp, softmax)."""
         h, din, C = self.hidden, self.dim_in, self.classes
         i = 0
         W1 = theta[i:i + h * din].reshape(h, din); i += h * din
         b1 = theta[i:i + h]; i += h
         W2 = theta[i:i + C * h].reshape(C, h); i += C * h
         b2 = theta[i:i + C]
-        return W1, b1, W2, b2
-
-    def _forward(self, theta, X):
-        W1, b1, W2, b2 = self.unpack(theta)
         H = np.tanh(X @ W1.T + b1)
         logits = H @ W2.T + b2
         mx = logits.max(axis=1, keepdims=True)
         lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
         P = np.exp(logits - lse[:, None])
-        return H, logits, lse, P
+        return W2, H, logits, lse, P
 
     def loss_and_grad(self, theta, batch=None):
         if theta.size != self.dim:
             raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
         idx = _as_batch(self.dataset_size(), batch)
         X, y = self.features[idx], self.labels[idx]
-        H, logits, lse, P = self._forward(theta, X)
+        W2, H, logits, lse, P = self._forward(theta, X)
         n = idx.size
         loss = float(np.mean(lse - logits[np.arange(n), y]))
         dlogits = P.copy()
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
-        W1, b1, W2, b2 = self.unpack(theta)
         dW2 = dlogits.T @ H
         db2 = dlogits.sum(axis=0)
         dH = dlogits @ W2
@@ -237,11 +237,10 @@ class MlpTask(Task):
 
     def per_sample_loglik_grads(self, theta, indices):
         X, y = self.features[indices], self.labels[indices]
-        H, logits, lse, P = self._forward(theta, X)
+        W2, H, logits, lse, P = self._forward(theta, X)
         n = indices.size
         dlogits = P.copy()
         dlogits[np.arange(n), y] -= 1.0   # per-sample dCE/dlogits, no 1/n
-        W1, b1, W2, b2 = self.unpack(theta)
         dW2 = np.einsum("bc,bh->bch", dlogits, H)
         db2 = dlogits
         dH = dlogits @ W2
@@ -358,8 +357,7 @@ def _task_spec(kind: str, dim: int, seed: int, sizes: dict) -> dict:
     if not 0.0 <= spec.get("label_noise", 0.0) <= 1.0:
         raise ValueError(f"label_noise must lie in [0, 1], got {spec['label_noise']}")
     if kind == "mlp-1h":  # the parameter count follows from the layer sizes
-        h = spec["hidden"]
-        d = h * (spec["dim_in"] + 1) + spec["classes"] * (h + 1)
+        d = _mlp_dim(spec["dim_in"], spec["hidden"], spec["classes"])
         if dim not in (0, d):
             raise DimensionError(f"mlp parameter count is {d}, got dim={dim}")
         spec["dim"] = d
@@ -381,15 +379,10 @@ def gen_task(kind: str, dim: int, rng: RandomSource, **sizes) -> Task:
 class TransferPair:
     source: Task
     target: Task
-    rho: float
-    spec: dict
 
     def __post_init__(self):
         if self.source.dim != self.target.dim:
             raise DimensionError("source and target dimensions must match")
-
-    def to_spec(self) -> dict:
-        return dict(self.spec)
 
 
 def _mix(rho: float, src: dict, ind: dict) -> dict:
@@ -413,32 +406,17 @@ def gen_transfer_pair(kind: str, dim: int, rho: float, rng: RandomSource,
     p_src = draw(rng.child("source-params"), spec)
     p_tgt = _mix(rho, p_src, draw(rng.child("independent-params"), spec))
     return TransferPair(build(p_src, rng, {**spec, "role": "source"}),
-                        build(p_tgt, rng, {**spec, "role": "target"}), rho, spec)
-
-
-# --- JSON (de)serialization -------------------------------------------------
-# A spec is the generator's arguments plus seed (and rho and role for a pair
-# member), so replay is one generator call.  A single mlp-1h spec written
-# before dim was recorded has no dim; 0 lets the generator derive it.
-
-def task_to_json(task: Task) -> str:
-    return json.dumps(task.to_spec(), sort_keys=True)
-
-
-def transfer_pair_from_spec(spec: dict) -> TransferPair:
-    kw = dict(spec)
-    kw.pop("role", None)
-    return gen_transfer_pair(kw.pop("kind"), kw.pop("dim"), kw.pop("rho"),
-                             RandomSource(kw.pop("seed")), **kw)
+                        build(p_tgt, rng, {**spec, "role": "target"}))
 
 
 def task_from_spec(spec: dict) -> Task:
-    if "role" in spec:
-        pair = transfer_pair_from_spec(spec)
-        return pair.source if spec["role"] == "source" else pair.target
+    """Replay a task from its spec, the generator's arguments plus seed (and
+    rho and role for a pair member), in one generator call.  A single mlp-1h
+    spec written before dim was recorded has no dim; 0 derives it."""
     kw = dict(spec)
-    return gen_task(kw.pop("kind"), kw.pop("dim", 0), RandomSource(kw.pop("seed")), **kw)
-
-
-def task_from_json(text: str) -> Task:
-    return task_from_spec(json.loads(text))
+    role = kw.pop("role", None)
+    kind, dim, rng = kw.pop("kind"), kw.pop("dim", 0), RandomSource(kw.pop("seed"))
+    if role is None:
+        return gen_task(kind, dim, rng, **kw)
+    pair = gen_transfer_pair(kind, dim, kw.pop("rho"), rng, **kw)
+    return pair.source if role == "source" else pair.target

@@ -286,7 +286,7 @@ def test_criterion_6_pretraining_simulation_exactness():
     rng = np.random.default_rng(6)
     for _ in range(30):
         theta = task.center + rng.normal(size=9)
-        expansion = 0.5 * (theta - task.center) @ hess.full @ (theta - task.center)
+        expansion = 0.5 * (theta - task.center) @ hess @ (theta - task.center)
         loss, _ = task.loss_and_grad(theta)
         assert abs(expansion - loss) <= 1e-12 * max(1.0, abs(loss))
 

@@ -88,6 +88,17 @@ def test_out_of_range_size_is_a_config_error(tmp_path, capsys, line):
     assert err.count(f"config error: {key}") == 2
 
 
+@pytest.mark.parametrize("grid_text", ["gamma=1.0,-1.0", "t0=-5", "k=0.1,0.1000001"])
+def test_bad_grid_is_a_config_error_before_any_run(tmp_path, config_path, capsys, grid_text):
+    # a value the config refuses, or two k values that print alike and so
+    # would share a run directory, stops the sweep before it pretrains
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(grid_text + "\n")
+    assert main(["sweep", "--config", str(config_path), "--grid", str(grid)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "runs").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_exit_code(tmp_path, config_path):
     out = tmp_path / "exp"
