@@ -2,19 +2,21 @@
 
 One key per line, sections dotted (``finetune.optimizer.kind=recadam``).
 Blank lines and ``#`` comments are allowed; unknown keys are hard errors.
-Every key's name, type, default and place in ``ExperimentConfig`` is one
-row of ``_KEYS``; parsing, defaults, ``to_flat`` and ``config_hash`` are
-all derived from that table.
+Every key's name, type, default and attribute path in ``ExperimentConfig``
+is one row of ``_KEYS``; parsing, defaults, the nested sections, ``to_flat``
+and ``config_hash`` are all derived from that table.  Sections are plain
+namespaces, except those built by their own checking library constructors
+(``AdamConfig``, ``ScheduleMultiplier``, ``AnnealSchedule``).  A derived
+config, such as a sweep grid point, comes from ``cfg.with_values``.
 """
 
-import dataclasses
 import hashlib
 import math
 import os
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig, ScheduleMultiplier
@@ -25,76 +27,41 @@ from .tasks import TASK_KINDS, _task_spec
 INIT_KINDS = ("random", "pretrained")
 
 
-@dataclass
-class TransferSpec:
-    kind: str
-    rho: float
-    seed: int
-    dim: int
-    n_samples: int
-    dim_in: int
-    hidden: int
-    classes: int
-    noise_std: Optional[float]
-    center_scale: float
-    label_noise: float
+class ExperimentConfig(SimpleNamespace):
+    """Sections transfer, pretrain, finetune, penalty and shifting, plus seeds
+    and output_dir, nested from the _KEYS attribute paths."""
 
-
-@dataclass
-class PretrainSpec:
-    steps: int
-    batch_size: int
-    optimizer: AdamConfig
-
-
-@dataclass
-class FinetuneSpec:
-    steps: int
-    batch_size: int
-    optimizer_kind: str
-    optimizer: AdamConfig
-    weight_decay: float
-    init: str
-    schedule: ScheduleMultiplier
-    loss_threshold: Optional[float]
-
-
-@dataclass
-class PenaltySpec:
-    kind: str
-    gamma: float
-    fisher_samples: int
-
-
-@dataclass
-class ExperimentConfig:
-    transfer: TransferSpec
-    pretrain: PretrainSpec
-    finetune: FinetuneSpec
-    penalty: PenaltySpec
-    shifting: AnnealSchedule
-    seeds: tuple
-    output_dir: str
+    def _values(self) -> dict:
+        """Flat key -> value of every set key the task kind uses (mlp-1h has
+        dim_in/hidden/classes, the other kinds have dim)."""
+        values = {key: v for key, v in zip(_KEYS, _GET_ALL(self)) if v is not None}
+        for key in ("transfer.dim",) if self.transfer.kind == "mlp-1h" else _MLP_DIMS:
+            del values[key]
+        return values
 
     def to_flat(self) -> dict:
-        """Canonical flat key -> string mapping (round-trips via parse).
-
-        Unset optional keys are left out, and so are the dimension keys the
-        task kind does not use: mlp-1h has dim_in/hidden/classes, the other
-        kinds have dim.
-        """
-        flat = {key: ",".join(map(str, v)) if type(v) is tuple else str(v)
-                for key, v in zip(_KEYS, _GET_ALL(self)) if v is not None}
-        for key in ("transfer.dim",) if self.transfer.kind == "mlp-1h" else _MLP_DIMS:
-            del flat[key]
-        return flat
+        """Canonical flat key -> string mapping (round-trips via parse);
+        unset optional keys and unused dimension keys are left out."""
+        return {key: _flat_text(v) for key, v in self._values().items()}
 
     def config_hash(self) -> str:
         """Hash of the experimental configuration (seeds/output_dir excluded)."""
         flat = self.to_flat()
-        flat.pop("seeds", None)
-        flat.pop("output_dir", None)
+        del flat["seeds"], flat["output_dir"]
         return hashlib.sha256(_lines(flat).encode()).hexdigest()[:12]
+
+    def with_values(self, values: dict) -> "ExperimentConfig":
+        """This config with some flat keys set, e.g. {"penalty.gamma": 2.0};
+        each value is checked as its config-file line would be.  An unknown
+        key passes through unparsed for config_from_values to refuse."""
+        return config_from_values({**self._values(), **{
+            key: _KEYS[key].parse(key, _flat_text(v)) if key in _KEYS else v
+            for key, v in values.items()}})
+
+
+def _flat_text(value) -> str:
+    """A value as config-file text, which its key's parser reads back."""
+    return ",".join(map(str, value)) if type(value) is tuple else str(value)
 
 
 def _number(kind: type) -> Callable:
@@ -124,10 +91,6 @@ def _list_of(item: Callable) -> Callable:
             raise ConfigError(f"{key}: empty list")
         return values
     return parse
-
-
-def _text(key: str, raw: str) -> str:
-    return raw
 
 
 _int, _float = _number(int), _number(float)
@@ -177,7 +140,7 @@ _KEYS = {
     "shifting.k": _Key(_float, 0.1),
     "shifting.t0": _Key(_int, 250),
     "seeds": _Key(_list_of(_int), (0,)),
-    "output_dir": _Key(_text, _REQUIRED),
+    "output_dir": _Key(lambda key, raw: raw, _REQUIRED),
 }
 _ATTRS = {key: row.attr or key for key, row in _KEYS.items()}
 _GET_ALL = attrgetter(*_ATTRS.values())  # one call fetches every key's value, in table order
@@ -226,23 +189,34 @@ def parse_flat_text(text: str) -> dict:
             for key, raw in _read_pairs(text, _KEYS, "line").items()}
 
 
-def _build(cls, values: dict, prefix: str = ""):
-    """Instantiate dataclass cls from attribute-path -> value entries,
-    recursing into fields that are themselves dataclasses."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        path = prefix + f.name
-        if dataclasses.is_dataclass(f.type):
-            kwargs[f.name] = _build(f.type, values, path + ".")
-        else:
-            kwargs[f.name] = values[path]
+# sections a library type describes, built through its constructor, which checks them
+_SECTIONS = {"": ExperimentConfig, "pretrain.optimizer": AdamConfig,
+             "finetune.optimizer": AdamConfig, "finetune.schedule": ScheduleMultiplier,
+             "shifting": AnnealSchedule}
+
+
+def _build(values: dict, prefix: str = ""):
+    """Nest attribute-path -> value entries into the section at prefix: its
+    _SECTIONS type, or else a plain namespace."""
+    groups = {}  # name -> {rest of path: value}; "" holds a field's own value
+    for path, value in values.items():
+        name, _, rest = path.partition(".")
+        groups.setdefault(name, {})[rest] = value
+    fields = {name: group[""] if "" in group else _build(group, prefix + name + ".")
+              for name, group in groups.items()}
+    section = prefix.rstrip(".")
     try:
-        return cls(**kwargs)
+        return _SECTIONS.get(section, SimpleNamespace)(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
+    """The config of typed flat values, a missing key at its default; an
+    unknown or missing required key or a refused value is a ConfigError."""
+    unknown = values.keys() - _KEYS.keys()
+    if unknown:
+        raise ConfigError(f"unknown key {min(unknown)!r}")
     full = {}
     for key, row in _KEYS.items():
         if key in values:
@@ -264,7 +238,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"transfer: {exc}") from None
     full["transfer.dim"] = spec["dim"]
-    return _build(ExperimentConfig, {_ATTRS[key]: value for key, value in full.items()})
+    return _build({_ATTRS[key]: value for key, value in full.items()})
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:

@@ -12,12 +12,11 @@ threshold come from the per-step batch losses in the trace.
 """
 
 import csv
-import dataclasses
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .tasks import TransferPair, batch_stream, gen_transfer_pair
 
 TRACE_COLUMNS = ("step", "lambda", "target_loss", "penalty_value",
                  "composite_loss", "dist_to_pretrained", "grad_norm", "eta")
+_ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # a trace.csv row
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
 _REFERENCE_FACTOR = 1.10  # see reference_threshold
@@ -72,8 +72,7 @@ class TraceWriter:
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
 
     def write_row(self, row: tuple) -> None:
-        step = str(int(row[0]))
-        self._fh.write(step + "," + ",".join(_fmt(x) for x in row[1:]) + "\n")
+        self._fh.write(_ROW_FORMAT % row)
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -113,7 +112,7 @@ class RunSummary:
     config_hash: str
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunSummary":
@@ -122,10 +121,8 @@ class RunSummary:
 
 def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
     t = cfg.transfer
-    return gen_transfer_pair(t.kind, t.dim, t.rho, RandomSource(t.seed),
-                             n_samples=t.n_samples, dim_in=t.dim_in, hidden=t.hidden,
-                             classes=t.classes, noise_std=t.noise_std,
-                             center_scale=t.center_scale, label_noise=t.label_noise)
+    sizes = {k: v for k, v in vars(t).items() if k not in ("kind", "dim", "rho", "seed")}
+    return gen_transfer_pair(t.kind, t.dim, t.rho, RandomSource(t.seed), **sizes)
 
 
 def build_penalty(cfg: ExperimentConfig, pair: TransferPair,
@@ -271,16 +268,12 @@ def reference_threshold(cfg: ExperimentConfig, theta_star: np.ndarray) -> float:
     """Default steps_to_threshold target: _REFERENCE_FACTOR x the best batch
     loss of a vanilla-Adam run _REFERENCE_STEPS_MULTIPLIER times as long as
     finetune.steps (pretrained init, constant schedule)."""
-    ref_cfg = dataclasses.replace(
-        cfg,
-        finetune=dataclasses.replace(
-            cfg.finetune,
-            steps=cfg.finetune.steps * _REFERENCE_STEPS_MULTIPLIER,
-            optimizer_kind="adam",
-            init="pretrained",
-            schedule=dataclasses.replace(cfg.finetune.schedule, kind="constant"),
-        ),
-    )
+    ref_cfg = cfg.with_values({
+        "finetune.steps": cfg.finetune.steps * _REFERENCE_STEPS_MULTIPLIER,
+        "finetune.optimizer.kind": "adam",
+        "finetune.init": "pretrained",
+        "finetune.schedule.kind": "constant",
+    })
     trace, _ = finetune(ref_cfg, theta_star, cfg.seeds[0])
     return _REFERENCE_FACTOR * float(trace.column("target_loss").min())
 
@@ -296,23 +289,17 @@ def _run_id(k: float, t0: int, gamma: float, seed: int) -> str:
 
 def _grid_runs(cfg: ExperimentConfig, grid: dict) -> dict:
     """run id -> ({k, t0, gamma, seed}, run config) per grid point; a value the
-    config refuses or two points with one run id is a ConfigError."""
+    config refuses, two points with one run id, or several gammas for a
+    penalty kind that ignores gamma is a ConfigError."""
     ks = grid.get("k") or (cfg.shifting.k,)
     t0s = grid.get("t0") or (cfg.shifting.t0,)
     gammas = grid.get("gamma") or (cfg.penalty.gamma,)
     seeds = grid.get("seeds") or cfg.seeds
+    if len(gammas) > 1 and cfg.penalty.kind != "isotropic":
+        raise ConfigError(f"a gamma grid needs penalty.kind=isotropic, not {cfg.penalty.kind}")
     runs = {}
     for k, t0, gamma in itertools.product(ks, t0s, gammas):
-        if gamma < 0:
-            raise ConfigError(f"grid gamma must be >= 0, got {gamma:g}")
-        try:  # AnnealSchedule checks k and t0
-            run_cfg = dataclasses.replace(
-                cfg,
-                shifting=dataclasses.replace(cfg.shifting, k=k, t0=t0),
-                penalty=dataclasses.replace(cfg.penalty, gamma=gamma),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
+        run_cfg = cfg.with_values({"shifting.k": k, "shifting.t0": t0, "penalty.gamma": gamma})
         for seed in seeds:
             run_id = _run_id(k, t0, gamma, seed)
             if run_id in runs:

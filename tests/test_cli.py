@@ -99,6 +99,35 @@ def test_bad_grid_is_a_config_error_before_any_run(tmp_path, config_path, capsys
     assert not (tmp_path / "exp" / "runs").exists()
 
 
+@pytest.mark.parametrize("kind", ["diagonal-fisher", "none"])
+def test_gamma_grid_needs_the_isotropic_penalty(tmp_path, capsys, kind):
+    # the other penalty kinds ignore gamma, so each gamma would rerun one run
+    config = tmp_path / "exp.cfg"
+    config.write_text(CONFIG.format(out=tmp_path / "exp").replace(
+        "transfer.kind=quadratic", "transfer.kind=logistic-regression")
+        + f"penalty.kind={kind}\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("gamma=0.5,5\n")
+    assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 2
+    assert "penalty.kind=isotropic" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+    grid.write_text("gamma=5\nseeds=0\nt0=40\n")  # one gamma is allowed
+    assert main(["sweep", "--config", str(config), "--grid", str(grid)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_sweep_with_every_run_failed(tmp_path, config_path, capsys):
+    out = tmp_path / "exp"
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("gamma=5000\n")
+    assert main(["sweep", "--config", str(config_path), "--grid", str(grid)]) == 0
+    assert "sweep finished: 0 successful runs" in capsys.readouterr().out
+    header, *rows = (out / "summaries.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert all(row.split(",")[4].startswith("failed:step") for row in rows)
+    assert not (out / "best_config.txt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_numeric_failure_exit_code(tmp_path, config_path):
     out = tmp_path / "exp"

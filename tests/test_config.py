@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from recadamlab.config import (config_from_values, format_config, load_config,
@@ -109,6 +111,46 @@ output_dir=out
         config_from_values(parse_flat_text(text + "transfer.dim=100\n"))
     with pytest.raises(ConfigError, match="dim_in must be >= 1"):
         config_from_values(parse_flat_text(text.replace("dim_in=10", "dim_in=0")))
+
+
+def test_unknown_key_in_values_is_an_error():
+    base = parse_flat_text(BASE)
+    with pytest.raises(ConfigError, match="unknown key 'penalty.gama'"):
+        config_from_values({**base, "penalty.gama": -3.0})
+
+
+def test_with_values_equals_the_edited_text():
+    cfg = config_from_values(parse_flat_text(BASE))
+    derived = cfg.with_values({"shifting.k": 0.5, "shifting.t0": 75, "penalty.gamma": 2,
+                               "finetune.optimizer.kind": "adam", "seeds": (4, 5)})
+    edited = (BASE.replace("shifting.k=0.1", "shifting.k=0.5")
+              .replace("shifting.t0=50", "shifting.t0=75")
+              .replace("penalty.gamma=1.0", "penalty.gamma=2")
+              .replace("finetune.optimizer.kind=recadam", "finetune.optimizer.kind=adam")
+              .replace("seeds=0,1,2", "seeds=4,5"))
+    assert derived == config_from_values(parse_flat_text(edited))
+    assert type(derived.penalty.gamma) is float
+    assert cfg.shifting.k == 0.1  # the source config is left as it was
+    # an mlp-1h config re-derives its parameter count from the new sizes
+    mlp = config_from_values(parse_flat_text(MLP_TEXT)).with_values({"transfer.hidden": 8})
+    assert mlp == config_from_values(parse_flat_text(
+        MLP_TEXT.replace("transfer.hidden=16", "transfer.hidden=8")))
+    assert mlp.transfer.dim == 8 * 11 + 3 * 9
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"penalty.gama": 1.0}, "unknown key 'penalty.gama'"),
+    ({"finetune.optimizer.kind": "sgd"}, "finetune.optimizer.kind: 'sgd' not in"),
+    ({"shifting.k": float("inf")}, "shifting.k: 'inf' is not a finite number"),
+    ({"penalty.gamma": -1.0}, "penalty.gamma must be >= 0"),
+    ({"shifting.t0": 2.5}, "shifting.t0: cannot parse '2.5' as int"),
+    ({"shifting.t0": -5}, "shifting: annealing midpoint t0 must be >= 0"),
+    ({"finetune.optimizer.alpha": 0.0}, "finetune.optimizer: alpha must be finite and > 0"),
+])
+def test_with_values_checks_like_a_config_line(values, message):
+    cfg = config_from_values(parse_flat_text(BASE))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.with_values(values)
 
 
 def test_config_hash_ignores_seeds_and_output_dir():

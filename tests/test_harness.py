@@ -1,15 +1,15 @@
-import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from recadamlab import harness
 from recadamlab.cli import main
 from recadamlab.config import config_from_values, parse_flat_text
 from recadamlab.errors import ConfigError, DimensionError, NoDataError
-from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair, finetune,
-                                pretrain, read_trace, reference_threshold,
+from recadamlab.harness import (TRACE_COLUMNS, TrainingTrace, build_transfer_pair,
+                                finetune, pretrain, read_trace, reference_threshold,
                                 report, sweep)
 from recadamlab.storage import read_vector, write_vector
 
@@ -109,10 +109,8 @@ class TestFinetune:
     def test_saturated_shifting_reduces_to_adam_bitwise(self, tmp_path):
         cfg = quad_cfg(tmp_path)
         theta_star, _ = pretrain(cfg)
-        rec_cfg = dataclasses.replace(
-            cfg, shifting=dataclasses.replace(cfg.shifting, k=1000.0, t0=0))
-        adam_cfg = dataclasses.replace(
-            cfg, finetune=dataclasses.replace(cfg.finetune, optimizer_kind="adam"))
+        rec_cfg = cfg.with_values({"shifting.k": 1000.0, "shifting.t0": 0})
+        adam_cfg = cfg.with_values({"finetune.optimizer.kind": "adam"})
         rec_trace, _ = finetune(rec_cfg, theta_star, seed=0)
         adam_trace, _ = finetune(adam_cfg, theta_star, seed=0)
         assert np.array_equal(rec_trace.column("target_loss"),
@@ -164,8 +162,7 @@ class TestFinetune:
 
     def test_summary_fields(self, tmp_path):
         cfg = quad_cfg(tmp_path)
-        cfg = dataclasses.replace(
-            cfg, finetune=dataclasses.replace(cfg.finetune, loss_threshold=1e-3))
+        cfg = cfg.with_values({"finetune.loss_threshold": 1e-3})
         theta_star, _ = pretrain(cfg)
         trace, summary = finetune(cfg, theta_star, seed=0)
         assert summary.best_target_loss == trace.column("target_loss").min()
@@ -190,18 +187,24 @@ class TestFinetune:
                                     "pretrain.steps": 300,
                                     "pretrain.optimizer.alpha": 0.05,
                                     "penalty.kind": "diagonal-fisher"})
-        cfg = dataclasses.replace(
-            cfg, finetune=dataclasses.replace(
-                cfg.finetune,
-                schedule=dataclasses.replace(cfg.finetune.schedule,
-                                             kind="linear-warmup-constant",
-                                             warmup_steps=20_000)))
+        cfg = cfg.with_values({"finetune.schedule.kind": "linear-warmup-constant",
+                               "finetune.schedule.warmup_steps": 20_000})
         theta_star, _ = pretrain(cfg)
         trace, summary = finetune(cfg, theta_star, seed=0)
         assert np.all(np.isfinite(trace.column("penalty_value")))
         assert np.all(trace.column("penalty_value") >= 0)
         assert trace.column("penalty_value").max() > 0
 
+
+    def test_no_penalty_ignores_gamma(self, tmp_path):
+        cfg = quad_cfg(tmp_path, **{"penalty.kind": "none", "finetune.steps": 60})
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        trace, _ = finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "g1")
+        assert np.array_equal(trace.column("penalty_value"), np.zeros(60))
+        finetune(cfg.with_values({"penalty.gamma": 50.0}), theta_star, seed=0,
+                 run_dir=tmp_path / "g50")
+        assert ((tmp_path / "g1" / "trace.csv").read_bytes()
+                == (tmp_path / "g50" / "trace.csv").read_bytes())
 
     def test_coupled_variant_runs_through_the_harness(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"finetune.optimizer.kind": "recadam-coupled",
@@ -219,14 +222,39 @@ class TestReferenceThreshold:
         cfg = quad_cfg(tmp_path, **{"finetune.init": "pretrained"})
         theta_star, _ = pretrain(cfg)
         tau = reference_threshold(cfg, theta_star)
-        ref_cfg = dataclasses.replace(
-            cfg, finetune=dataclasses.replace(
-                cfg.finetune, steps=600, optimizer_kind="adam", init="pretrained"))
+        ref_cfg = cfg.with_values({"finetune.steps": 600, "finetune.optimizer.kind": "adam",
+                                   "finetune.init": "pretrained"})
         trace, _ = finetune(ref_cfg, theta_star, cfg.seeds[0])
         assert tau == pytest.approx(1.10 * trace.column("target_loss").min(), rel=1e-12)
 
+    def test_reference_config_hash_is_pinned(self, monkeypatch):
+        # the hash the earlier nested dataclasses.replace gave the same config
+        from test_acceptance import MLP9_CFG
+        cfg = config_from_values(parse_flat_text(
+            MLP9_CFG.format(kind="recadam", init="random", out="out")))
+        seen = []
+
+        def fake_finetune(ref_cfg, theta_star, seed):
+            seen.append(ref_cfg)
+            return TrainingTrace([(1, 1.0, 2.0, 0.0, 2.0, 0.0, 1.0, 1.0)]), None
+
+        monkeypatch.setattr(harness, "finetune", fake_finetune)
+        assert reference_threshold(cfg, None) == pytest.approx(2.2)
+        assert seen[0].config_hash() == "b06473fd87c1"
+
 
 class TestSweep:
+    def test_grid_point_config_hash_is_pinned(self):
+        # the hash the earlier nested dataclasses.replace gave the same point
+        from test_acceptance import SWEEP_CFG
+        cfg = config_from_values(parse_flat_text(SWEEP_CFG.format(out="out")))
+        runs = harness._grid_runs(cfg, {"k": (0.5,), "t0": (250,), "gamma": (2.5,),
+                                        "seeds": (1,)})
+        assert list(runs) == ["k0.5-t250-g2.5-s1"]
+        point, run_cfg = runs["k0.5-t250-g2.5-s1"]
+        assert point == {"k": 0.5, "t0": 250, "gamma": 2.5, "seed": 1}
+        assert run_cfg.config_hash() == "25008b768813"
+
     def test_grid_produces_one_row_per_combination(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 60})
         summaries = sweep(cfg, {"k": (0.05, 0.2), "t0": (50, 100),
@@ -316,8 +344,7 @@ class TestReport:
         theta_star, _ = pretrain(cfg)
         out = Path(cfg.output_dir)
         for init in ("random", "pretrained"):
-            icfg = dataclasses.replace(
-                cfg, finetune=dataclasses.replace(cfg.finetune, init=init))
+            icfg = cfg.with_values({"finetune.init": init})
             for seed in (0, 1):
                 finetune(icfg, theta_star, seed, run_dir=out / "runs" / f"{init}-{seed}")
         report(out)
@@ -377,6 +404,11 @@ class TestReadTrace:
         out, path = self._completed_run(tmp_path)
         header, *rows = path.read_text().splitlines()
         path.write_text("\n".join([header] + [r.rsplit(",", 1)[0] for r in rows]) + "\n")
+        self._assert_report_is_no_data(out, path, capsys)
+
+    def test_wrong_header_is_no_data(self, tmp_path, capsys):
+        out, path = self._completed_run(tmp_path)
+        path.write_text(path.read_text().replace("grad_norm", "gradnorm", 1))
         self._assert_report_is_no_data(out, path, capsys)
 
     def test_non_numeric_cell_is_no_data(self, tmp_path, capsys):
