@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig, ScheduleMultiplier
 from .recall import PENALTY_KINDS
 from .shifting import AnnealSchedule
-from .tasks import TASK_KINDS, _task_spec
+from .tasks import DATASET_KINDS, TASK_KINDS, _task_spec
 
 INIT_KINDS = ("random", "pretrained")
 
@@ -231,6 +231,9 @@ def config_from_values(values: dict) -> ExperimentConfig:
     for key, low in _MINIMUMS:
         if full[key] < low:
             raise ConfigError(f"{key} must be >= {low}")
+    if full["penalty.kind"] == "diagonal-fisher" and full["transfer.kind"] not in DATASET_KINDS:
+        raise ConfigError(f"penalty.kind=diagonal-fisher needs a task with a dataset to "
+                          f"estimate the Fisher from, not transfer.kind={full['transfer.kind']}")
     sizes = {key.split(".", 1)[1]: full[key] for key in _TASK_SIZES}
     try:  # the task generator's own size checks; an mlp-1h derives its dim
         spec = _task_spec(full["transfer.kind"], full["transfer.dim"], full["transfer.seed"],

@@ -9,6 +9,12 @@ row, so an aborted run leaves a usable partial trace (a step that fails its
 finiteness checks writes no row).  RunSummary.final_target_loss is
 evaluated on the full dataset at the final parameters; best/steps-to-
 threshold come from the per-step batch losses in the trace.
+
+One training loop, _run_loop, advances a stack of runs at once: theta and
+the Adam moments are (S, d) arrays with one run per row.  pretrain and
+finetune are its S = 1 case; sweep runs its grid through it in chunks of
+at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and every run's
+files are the same bytes a lone finetune writes.
 """
 
 import csv
@@ -38,6 +44,7 @@ from .tasks import TransferPair, batch_stream, gen_transfer_pair
 TRACE_COLUMNS = ("step", "lambda", "target_loss", "penalty_value",
                  "composite_loss", "dist_to_pretrained", "grad_norm", "eta")
 _ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # a trace.csv row
+_STEP, _LAMBDA, _LOSS, _PENALTY, _COMPOSITE, _DIST, _GRAD_NORM, _ETA = range(len(TRACE_COLUMNS))
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
 _REFERENCE_FACTOR = 1.10  # see reference_threshold
@@ -71,8 +78,9 @@ class TraceWriter:
         self._fh = open(self.path, "w", newline="")
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
 
-    def write_row(self, row: tuple) -> None:
-        self._fh.write(_ROW_FORMAT % row)
+    def write_row(self, row) -> None:
+        """One row, a sequence with one number per column."""
+        self._fh.write(_ROW_FORMAT % tuple(row))
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -150,38 +158,112 @@ _STEPPERS = {
     "recadam-coupled": (True, lambda th, st, cfg, wd, eta, g, lam, pg:
                         coupled_recadam_step(th, st, cfg, eta, g, lam, pg)),
 }
+_SWEEP_CHUNK = 64  # most runs a sweep advances at once: bounds its open trace files
+_TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB, twice that as a run fails
 
 
-def _run_loop(task, theta0, steps, batch_size, rng_batches, writer, pen, kind,
-              adam_cfg, weight_decay=0.0, schedule=ScheduleMultiplier(), anneal=None):
-    """Shared training loop; returns (trace, theta_final).  The stepper checks
-    the gradients before the step's row is recorded."""
+def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kind, adam_cfg,
+              weight_decay=0.0, schedule=ScheduleMultiplier(), anneals=None, gammas=None):
+    """The one training loop: it advances S runs at once, one per row of
+    theta0 (S, d).  Run i draws its batches from batch_rngs[i], follows
+    anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma),
+    and writes each of its rows to the CSV file trace_paths[i] after the
+    step (trace_paths=None keeps the traces in memory only).  Each row of
+    every (S, d) array is bit-identical to the run alone.  Returns per run
+    (trace, final theta), or a NumericError for a run whose loss, gradient
+    or penalty gradient was not finite at some step t: its trace ends at
+    step t - 1, its file is closed and it leaves the stack, while the other
+    runs go on."""
     recall, step = _STEPPERS[kind]
-    rows = []  # a list append costs less per step than a write into an array row
     theta = np.array(theta0, dtype=np.float64)
-    state = AdamState.fresh(theta.size)
-    batches = None
+    state = AdamState.fresh(theta.shape)
+    # the rows of every step, with the step, lambda and eta columns filled in up front
+    data = np.empty((len(theta), steps, len(TRACE_COLUMNS)))
+    data[:, :, _STEP] = np.arange(1, steps + 1)
+    etas = [schedule_multiplier(schedule, t) for t in range(1, steps + 1)]
+    data[:, :, _ETA] = etas
+    data[:, :, _LAMBDA] = 1.0
+    for i, anneal in enumerate(anneals if recall else ()):
+        data[i, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
+    gammas = None if gammas is None else np.asarray(gammas, dtype=np.float64)
+    streams = None
     if task.dataset_size() > 0:
-        batches = batch_stream(task.dataset_size(), batch_size, rng_batches)
+        streams = [batch_stream(task.dataset_size(), batch_size, rng) for rng in batch_rngs]
+    # a task without a dataset takes a stack in one call; a lone run takes
+    # the one-row call and checks its loss as a float, which costs less a step
+    stacked = streams is None and len(theta) > 1
+    grad = np.empty_like(theta)
+    runs = list(range(len(theta)))  # the run of each row
+    results = [None] * len(theta)
+    writers = None if trace_paths is None else []
     try:
+        for path in trace_paths or ():
+            writers.append(TraceWriter(path))
         for t in range(1, steps + 1):
-            batch = next(batches) if batches is not None else None
-            loss, grad = task.loss_and_grad(theta, batch)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at step {t}", step=t)
-            eta = schedule_multiplier(schedule, t)
-            lam = lambda_at(anneal, t) if recall else 1.0
-            pval, pgrad, dist = _penalty_terms(pen, theta, with_grad=recall)
-            row = (t, lam, loss, pval, composite_loss(lam, loss, pval), dist,
-                   float(np.sqrt(np.sum(grad * grad))), eta)
-            theta, state = step(theta, state, adam_cfg, weight_decay, eta, grad, lam, pgrad)
-            rows.append(row)
-            if writer is not None:
-                writer.write_row(row)
+            row = data[:, t - 1]
+            if stacked:
+                row[:, _LOSS], grad = task.loss_and_grad(theta)
+                losses_finite = math.isfinite(row[:, _LOSS].sum())
+            else:
+                losses_finite = True
+                for i in range(len(theta)):
+                    loss, grad[i] = task.loss_and_grad(
+                        theta[i], None if streams is None else next(streams[i]))
+                    row[i, _LOSS] = loss
+                    losses_finite = losses_finite and math.isfinite(loss)
+            pval, pgrad, dist = _penalty_terms(pen, theta, recall, gammas)
+            row[:, _PENALTY] = pval
+            row[:, _DIST] = dist
+            np.sqrt((grad * grad).sum(axis=1), out=row[:, _GRAD_NORM])
+            try:
+                if not losses_finite:
+                    raise NumericError("non-finite loss")
+                # the stepper checks the gradients
+                theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
+                                    row[:, _LAMBDA:_LAMBDA + 1], pgrad)
+            except NumericError:
+                keep = _retire(t, row, grad, pgrad, runs, results, writers)
+                runs = [r for r, k in zip(runs, keep) if k]
+                if not runs:
+                    break
+                theta, grad, data = theta[keep], grad[keep], data[keep]
+                state = AdamState(state.t, state.m[keep], state.v[keep])
+                pgrad = None if pgrad is None else pgrad[keep]
+                gammas = None if gammas is None else gammas[keep]
+                streams = None if streams is None else [s for s, k in zip(streams, keep) if k]
+                writers = None if writers is None else [w for w, k in zip(writers, keep) if k]
+                row = data[:, t - 1]
+                theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
+                                    row[:, _LAMBDA:_LAMBDA + 1], pgrad)
+            for i, values in enumerate(row.tolist()):
+                row[i, _COMPOSITE] = values[_COMPOSITE] = composite_loss(
+                    values[_LAMBDA], values[_LOSS], values[_PENALTY])
+                if writers is not None:
+                    writers[i].write_row(values)
     finally:
-        if writer is not None:
+        for writer in writers or ():
             writer.close()
-    return TrainingTrace(rows), theta
+    for i, run in enumerate(runs):
+        results[run] = (TrainingTrace(data[i]), theta[i])
+    return results
+
+
+def _retire(t, row, grad, pgrad, runs, results, writers):
+    """Record a NumericError for each run with a non-finite loss, gradient
+    or penalty gradient at step t, with the message a lone run raises, and
+    close its writer; returns the mask of the rows that go on."""
+    checks = [(f"non-finite loss at step {t}", np.isfinite(row[:, _LOSS])),
+              ("non-finite values in gradient", np.isfinite(grad).all(axis=1))]
+    if pgrad is not None:
+        checks.append(("non-finite values in penalty gradient", np.isfinite(pgrad).all(axis=1)))
+    keep = np.ones(len(runs), dtype=bool)
+    for message, finite in checks:
+        for i in np.flatnonzero(keep & ~finite):
+            results[runs[i]] = NumericError(message, step=t)
+            if writers is not None:
+                writers[i].close()
+        keep &= finite
+    return keep
 
 
 def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
@@ -193,15 +275,17 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     task = pair.source
     root = RandomSource(cfg.transfer.seed)
     theta0 = RANDOM_INIT_STD * root.child("pretrain-init").normal(task.dim)
-    writer = None
+    trace_paths = None
     if write_outputs:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        writer = TraceWriter(out / "pretrain_trace.csv")
-    trace, theta = _run_loop(task, theta0, cfg.pretrain.steps, cfg.pretrain.batch_size,
-                             root.child("pretrain-batches"), writer,
-                             PenaltyModel.none(np.zeros(task.dim)), "adam",
-                             cfg.pretrain.optimizer)
+        trace_paths = [out / "pretrain_trace.csv"]
+    [result] = _run_loop(task, theta0[None], cfg.pretrain.steps, cfg.pretrain.batch_size,
+                         [root.child("pretrain-batches")], trace_paths,
+                         PenaltyModel.none(np.zeros(task.dim)), "adam", cfg.pretrain.optimizer)
+    if isinstance(result, NumericError):
+        raise result
+    trace, theta = result
     theta_star = theta.copy()
     theta_star.flags.writeable = False
     if write_outputs:
@@ -209,40 +293,70 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     return theta_star, trace
 
 
+def _shared_setup(cfg: ExperimentConfig, theta_star: np.ndarray):
+    """(target task, penalty): what every fine-tuning run of cfg, or of a
+    sweep over it, shares; the penalty holds any Fisher diagonal."""
+    pair = build_transfer_pair(cfg)
+    if theta_star.size != pair.target.dim:
+        raise ConfigError(f"theta_star length {theta_star.size} != task dim {pair.target.dim}")
+    return pair.target, build_penalty(cfg, pair, theta_star)
+
+
+def _write_run_config(run_dir: Path, cfg: ExperimentConfig, seed: int) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "config.json").write_text(
+        json.dumps({**cfg.to_flat(), "run_seed": str(seed)}, sort_keys=True, indent=2))
+
+
+def _finetune_runs(task, pen, theta_star, runs):
+    """Fine-tune runs as the rows of one loop.  runs holds (run config, seed,
+    run dir or None) per run; the configs may differ only in shifting.k,
+    shifting.t0 and penalty.gamma.  Each run dir gets trace.csv, and
+    summary.json if the run finishes.  Returns per run (trace, summary), or
+    the run's NumericError."""
+    cfg = runs[0][0]
+    ft = cfg.finetune
+    theta0 = np.empty((len(runs), task.dim))
+    for i, (_, seed, _) in enumerate(runs):
+        theta0[i] = (RANDOM_INIT_STD * RandomSource(seed).child("init").normal(task.dim)
+                     if ft.init == "random" else theta_star)
+    trace_paths = None
+    if runs[0][2] is not None:
+        trace_paths = [Path(run_dir) / "trace.csv" for _, _, run_dir in runs]
+    results = _run_loop(task, theta0, ft.steps, ft.batch_size,
+                        [RandomSource(seed).child("batches") for _, seed, _ in runs], trace_paths,
+                        pen, ft.optimizer_kind, ft.optimizer, ft.weight_decay, ft.schedule,
+                        [run_cfg.shifting for run_cfg, _, _ in runs],
+                        [run_cfg.penalty.gamma for run_cfg, _, _ in runs])
+    for i, ((run_cfg, seed, run_dir), result) in enumerate(zip(runs, results)):
+        if isinstance(result, NumericError):
+            continue
+        trace, theta = result
+        summary = summarize(trace, task, theta, theta_star, seed, run_cfg.config_hash(),
+                            ft.loss_threshold)
+        if run_dir is not None:
+            (Path(run_dir) / "summary.json").write_text(
+                json.dumps(summary.to_dict(), sort_keys=True, indent=2))
+        results[i] = (trace, summary)
+    return results
+
+
 def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
              run_dir: str | os.PathLike | None = None):
     """Fine-tune on the target task under the configured optimizer.
 
     Returns (trace, summary); writes trace.csv, summary.json and
-    config.json into run_dir when given.
+    config.json into run_dir when given.  A non-finite value raises
+    NumericError and leaves the trace of the steps before it.
     """
-    pair = build_transfer_pair(cfg)
-    task = pair.target
-    if theta_star.size != task.dim:
-        raise ConfigError(f"theta_star length {theta_star.size} != task dim {task.dim}")
-    rng = RandomSource(seed)
-    if cfg.finetune.init == "random":
-        theta0 = RANDOM_INIT_STD * rng.child("init").normal(task.dim)
-    else:
-        theta0 = np.array(theta_star, dtype=np.float64)
-    pen = build_penalty(cfg, pair, theta_star)
-    writer = None
+    task, pen = _shared_setup(cfg, theta_star)
     if run_dir is not None:
         run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        writer = TraceWriter(run_dir / "trace.csv")
-        (run_dir / "config.json").write_text(
-            json.dumps({**cfg.to_flat(), "run_seed": str(seed)}, sort_keys=True, indent=2))
-    ft = cfg.finetune
-    trace, theta = _run_loop(task, theta0, ft.steps, ft.batch_size, rng.child("batches"),
-                             writer, pen, ft.optimizer_kind, ft.optimizer,
-                             ft.weight_decay, ft.schedule, cfg.shifting)
-    summary = summarize(trace, task, theta, theta_star, seed, cfg.config_hash(),
-                        ft.loss_threshold)
-    if run_dir is not None:
-        (run_dir / "summary.json").write_text(
-            json.dumps(summary.to_dict(), sort_keys=True, indent=2))
-    return trace, summary
+        _write_run_config(run_dir, cfg, seed)
+    [result] = _finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)])
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
@@ -312,9 +426,16 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     """Run the Cartesian product of grid values over (k, t0, gamma, seeds).
 
     Grid entries left as None fall back to the base config's single value.
-    Every grid point is checked before pretraining.  Each run gets its own
-    directory under output_dir/runs; failures are recorded in the summary
-    table and skipped.
+    Every grid point is checked before pretraining.  The transfer pair and
+    any Fisher diagonal are built once, and every run's directory under
+    output_dir/runs and its config.json are written up front.  The runs
+    then advance together, as the rows of one training loop, in chunks of
+    at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows
+    (at least one run a chunk); each run's files are the bytes a lone
+    finetune of its config and seed writes.  A run that fails is recorded
+    as failed:stepN in the summary table and skipped; the others go on.
+    A sweep killed mid-chunk leaves partial traces for every run of that
+    chunk.
     """
     runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
@@ -324,19 +445,25 @@ def sweep(cfg: ExperimentConfig, grid: dict):
         theta_star = read_vector(theta_path)
     else:
         theta_star, _ = pretrain(cfg)
-
+    task, pen = _shared_setup(cfg, theta_star)
+    points = list(runs.values())
+    jobs = [(run_cfg, point["seed"], out / "runs" / run_id)
+            for run_id, (point, run_cfg) in runs.items()]
+    for run_cfg, seed, run_dir in jobs:
+        _write_run_config(run_dir, run_cfg, seed)
     rows = []
     summaries = []
-    for run_id, (point, run_cfg) in runs.items():
-        try:
-            _, summary = finetune(run_cfg, theta_star, point["seed"],
-                                  run_dir=out / "runs" / run_id)
-        except NumericError as exc:
-            rows.append({**point, "status": f"failed:step{exc.step}",
-                         "config_hash": run_cfg.config_hash()})
-            continue
-        summaries.append(summary)
-        rows.append({**point, **summary.to_dict(), "status": "ok"})
+    chunk = max(1, min(_SWEEP_CHUNK, _TRACE_ROW_BUDGET // cfg.finetune.steps))
+    for start in range(0, len(jobs), chunk):
+        results = _finetune_runs(task, pen, theta_star, jobs[start:start + chunk])
+        for (point, run_cfg), result in zip(points[start:], results):
+            if isinstance(result, NumericError):
+                rows.append({**point, "status": f"failed:step{result.step}",
+                             "config_hash": run_cfg.config_hash()})
+                continue
+            summary = result[1]
+            summaries.append(summary)
+            rows.append({**point, **summary.to_dict(), "status": "ok"})
 
     with open(out / "summaries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -16,7 +16,7 @@ from .errors import DimensionError, NumericError
 
 def ensure_finite(values: np.ndarray, what: str = "vector", step: int | None = None) -> None:
     """Raise NumericError if any element is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite values in {what}", step=step)
 
 

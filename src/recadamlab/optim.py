@@ -10,6 +10,10 @@ penalty_grad, at the same rate on every coordinate.  The coupled baseline
 runs Adam on lambda_t * grad + (1 - lambda_t) * penalty_grad, so the
 moments rescale its penalty by 1/sqrt(v_hat) per coordinate.
 
+Every stepper also advances a stack of runs at once: theta, grad and the
+moments are (S, d) arrays, one run per row, and lambda_t may be an (S, 1)
+column; each row comes out bit-identical to its own one-run call.
+
 Two floating-point associations stay separate, since merging them changes
 the output bits: AdamW computes eta_t * (a + wd * theta), RecAdam eta_t * a
 + eta_t * pull.  With lambda_t == 1.0 (RecAdam, coupled) or weight_decay ==
@@ -50,8 +54,9 @@ class AdamState:
     v: np.ndarray
 
     @classmethod
-    def fresh(cls, dim: int) -> "AdamState":
-        return cls(t=0, m=np.zeros(dim), v=np.zeros(dim))
+    def fresh(cls, shape: int | tuple) -> "AdamState":
+        """Zero moments of the given shape: d for one run, (S, d) for S runs."""
+        return cls(t=0, m=np.zeros(shape), v=np.zeros(shape))
 
     def __post_init__(self):
         if self.t < 0:
@@ -102,7 +107,11 @@ def _adaptive_step(theta, state: AdamState, config: AdamConfig, grad,
         check_same_length(theta, penalty_grad)
         # lambda is mathematically in (0, 1) but underflows to exact 0.0/1.0 in
         # float64 for large |k (t - t0)|; both closures are admitted
-        if not (0.0 <= lambda_t <= 1.0):
+        if isinstance(lambda_t, np.ndarray):  # a column, one lambda per row of theta
+            in_range = 0.0 <= lambda_t.min() and lambda_t.max() <= 1.0
+        else:
+            in_range = 0.0 <= lambda_t <= 1.0
+        if not in_range:
             raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
         ensure_finite(penalty_grad, "penalty gradient", step=t)
         if coupled:

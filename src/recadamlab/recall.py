@@ -63,29 +63,34 @@ class PenaltyModel:
         return cls("diagonal-fisher", theta_star, fisher_diag=fisher_diag, n_obs=n_obs)
 
 
-def _penalty_terms(pen: PenaltyModel, theta: np.ndarray, with_grad: bool = True):
-    """(penalty value, penalty gradient or None, ||theta - theta_star||),
-    all from one difference vector."""
-    check_same_length(theta, pen.theta_star)
+def _penalty_terms(pen: PenaltyModel, theta: np.ndarray, with_grad: bool = True,
+                   gamma: Optional[np.ndarray] = None):
+    """For a stack of runs theta (S, d), one per row: (penalty values (S,),
+    penalty gradients (S, d) or None, ||theta - theta_star|| (S,)), all from
+    one difference array.  gamma (S,) gives each row its own isotropic
+    coefficient in place of pen.gamma."""
+    if theta.shape[1:] != pen.theta_star.shape:
+        raise DimensionError(f"length mismatch: {theta.shape[1:]} vs {pen.theta_star.shape}")
     diff = theta - pen.theta_star
-    sq_norm = np.sum(diff * diff)
-    dist = float(np.sqrt(sq_norm))
+    sq_norm = (diff * diff).sum(axis=1)
+    dist = np.sqrt(sq_norm)
     if pen.kind == "none":
-        return 0.0, np.zeros_like(theta) if with_grad else None, dist
+        return np.zeros(len(theta)), np.zeros(theta.shape) if with_grad else None, dist
     if pen.kind == "isotropic":
-        return (0.5 * pen.gamma * float(sq_norm),
-                pen.gamma * diff if with_grad else None, dist)
+        if gamma is None:
+            gamma = np.full(len(theta), pen.gamma)
+        return 0.5 * gamma * sq_norm, gamma[:, None] * diff if with_grad else None, dist
     weighted = pen.fisher_diag * diff
-    return (0.5 * pen.n_obs * float(np.sum(weighted * diff)),
+    return (0.5 * pen.n_obs * (weighted * diff).sum(axis=1),
             pen.n_obs * weighted if with_grad else None, dist)
 
 
 def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
-    return _penalty_terms(pen, theta, with_grad=False)[0]
+    return float(_penalty_terms(pen, theta[None], with_grad=False)[0][0])
 
 
 def penalty_grad(pen: PenaltyModel, theta: np.ndarray) -> np.ndarray:
-    return _penalty_terms(pen, theta)[1]
+    return _penalty_terms(pen, theta[None])[1][0]
 
 
 def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,

@@ -14,8 +14,8 @@ labelled child streams of the RandomSource they are given, and each task
 records its generator's arguments and seed, so
 ``task_from_spec(task.to_spec())`` rebuilds it bit for bit.  Transfer
 pairs interpolate generative parameters (centers, true weights) with a
-relatedness knob rho; the dataset noise stream is shared between source
-and target so rho = 1 yields an identical task.
+relatedness knob rho; the dataset noise is drawn once and shared between
+source and target so rho = 1 yields an identical task.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +54,9 @@ def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np
 
 class Task:
     """Common surface shared by all task kinds; a kind with a dataset holds
-    it as ``features``, one row per sample."""
+    it as ``features``, one row per sample.  A kind without a dataset
+    (dataset_size() == 0) also takes a stack of parameter rows in
+    ``loss_and_grad``."""
 
     kind: str
     dim: int
@@ -96,6 +98,14 @@ class QuadraticTask(Task):
         return 0
 
     def loss_and_grad(self, theta, batch=None):
+        """theta may also be a stack of runs (S, d): then (losses (S,),
+        gradients (S, d)), each row bit-identical to its own call."""
+        if theta.ndim == 2:
+            if theta.shape[1:] != self.center.shape:
+                raise DimensionError(f"length mismatch: {theta.shape[1:]} vs {self.center.shape}")
+            diff = theta - self.center
+            grad = np.matmul(self.curvature, diff[:, :, None])  # (S, d, 1)
+            return 0.5 * np.matmul(diff[:, None, :], grad).ravel(), grad[:, :, 0]
         check_same_length(theta, self.center)
         diff = theta - self.center
         grad = self.curvature @ diff
@@ -271,10 +281,11 @@ def finite_diff_grad(task: Task, theta: np.ndarray, batch=None, h: float = 1e-5)
 
 # --- generators ------------------------------------------------------------
 # One row of _KINDS per task kind: draw(rng, spec) makes the generative
-# parameters from a stream, build(params, rng, spec) makes the task, sampling
-# any dataset from rng.child("data").  All draws go through labelled child
-# streams so a recorded seed replays the task exactly regardless of how the
-# parent source was used elsewhere.
+# parameters from a stream, noise(data, spec) draws the dataset noise from
+# the stream rng.child("data"), and build(params, noise, spec) makes the task
+# from the two without drawing.  All draws go through labelled child streams
+# so a recorded seed replays the task exactly regardless of how the parent
+# source was used elsewhere.
 
 def _draw_quadratic(rng: RandomSource, spec: dict) -> dict:
     dim = spec["dim"]
@@ -289,17 +300,25 @@ def _draw_weights(scale: float) -> Callable:
     return lambda rng, spec: {"weights": rng.child("weights").normal(spec["dim"], scale)}
 
 
-def _build_linreg(params: dict, rng: RandomSource, spec: dict) -> LinearRegressionTask:
-    data, n = rng.child("data"), spec["n_samples"]
-    X = data.normal((n, spec["dim"]))
-    y = X @ params["weights"] + spec["noise_std"] * data.normal(n)
-    return LinearRegressionTask(X, y, spec=spec)
+def _linreg_noise(data: RandomSource, spec: dict) -> dict:
+    n = spec["n_samples"]
+    return {"X": data.normal((n, spec["dim"])), "e": data.normal(n)}
 
 
-def _build_logreg(params: dict, rng: RandomSource, spec: dict) -> LogisticRegressionTask:
-    data, n = rng.child("data"), spec["n_samples"]
-    X = data.normal((n, spec["dim"]))
-    y = (data.uniform(size=n) < _sigmoid(X @ params["weights"])).astype(np.float64)
+def _build_linreg(params: dict, noise: dict, spec: dict) -> LinearRegressionTask:
+    X = noise["X"]
+    return LinearRegressionTask(X, X @ params["weights"] + spec["noise_std"] * noise["e"],
+                                spec=spec)
+
+
+def _logreg_noise(data: RandomSource, spec: dict) -> dict:
+    n = spec["n_samples"]
+    return {"X": data.normal((n, spec["dim"])), "u": data.uniform(size=n)}
+
+
+def _build_logreg(params: dict, noise: dict, spec: dict) -> LogisticRegressionTask:
+    X = noise["X"]
+    y = (noise["u"] < _sigmoid(X @ params["weights"])).astype(np.float64)
     return LogisticRegressionTask(X, y, spec=spec)
 
 
@@ -308,33 +327,44 @@ def _draw_mlp(rng: RandomSource, spec: dict) -> dict:
     return {"centers": spec["center_scale"] * rng.child("centers").normal(shape)}
 
 
-def _build_mlp(params: dict, rng: RandomSource, spec: dict) -> MlpTask:
-    data, n, classes = rng.child("data"), spec["n_samples"], spec["classes"]
-    y = data.integers(0, classes, n)
-    X = params["centers"][y] + spec["noise_std"] * data.normal((n, spec["dim_in"]))
+def _mlp_noise(data: RandomSource, spec: dict) -> dict:
+    n, classes = spec["n_samples"], spec["classes"]
+    noise = {"y": data.integers(0, classes, n), "Z": data.normal((n, spec["dim_in"]))}
     if spec["label_noise"] > 0:
-        flip = data.uniform(size=n) < spec["label_noise"]
-        y = np.where(flip, data.integers(0, classes, n), y)
-    return MlpTask(spec["dim_in"], spec["hidden"], classes, X, y.astype(np.intp), spec=spec)
+        noise["u"] = data.uniform(size=n)
+        noise["flipped_to"] = data.integers(0, classes, n)
+    return noise
+
+
+def _build_mlp(params: dict, noise: dict, spec: dict) -> MlpTask:
+    y = noise["y"]
+    X = params["centers"][y] + spec["noise_std"] * noise["Z"]
+    if spec["label_noise"] > 0:
+        y = np.where(noise["u"] < spec["label_noise"], noise["flipped_to"], y)
+    return MlpTask(spec["dim_in"], spec["hidden"], spec["classes"], X, y.astype(np.intp),
+                   spec=spec)
 
 
 class _Kind(NamedTuple):
     draw: Callable
+    noise: Callable
     build: Callable
     sizes: dict  # the kind's keywords and their defaults
 
 
 _KINDS = {
-    "quadratic": _Kind(_draw_quadratic,
-                       lambda params, rng, spec: QuadraticTask(**params, spec=spec), {}),
-    "linear-regression": _Kind(_draw_weights(1.0), _build_linreg,
+    "quadratic": _Kind(_draw_quadratic, lambda data, spec: {},
+                       lambda params, noise, spec: QuadraticTask(**params, spec=spec), {}),
+    "linear-regression": _Kind(_draw_weights(1.0), _linreg_noise, _build_linreg,
                                {"n_samples": 512, "noise_std": 0.1}),
-    "logistic-regression": _Kind(_draw_weights(2.0), _build_logreg, {"n_samples": 512}),
-    "mlp-1h": _Kind(_draw_mlp, _build_mlp,
+    "logistic-regression": _Kind(_draw_weights(2.0), _logreg_noise, _build_logreg,
+                                 {"n_samples": 512}),
+    "mlp-1h": _Kind(_draw_mlp, _mlp_noise, _build_mlp,
                     {"dim_in": 0, "hidden": 0, "classes": 0, "n_samples": 512,
                      "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}),
 }
 TASK_KINDS = tuple(_KINDS)
+DATASET_KINDS = tuple(kind for kind, row in _KINDS.items() if "n_samples" in row.sizes)
 _KEYWORDS = {key for row in _KINDS.values() for key in row.sizes}
 
 
@@ -371,8 +401,8 @@ def gen_task(kind: str, dim: int, rng: RandomSource, **sizes) -> Task:
     noise_std; mlp-1h: dim_in, hidden, classes, center_scale, label_noise);
     mlp-1h takes dim=0 or its derived parameter count."""
     spec = _task_spec(kind, dim, rng.seed, sizes)
-    draw, build, _ = _KINDS[kind]
-    return build(draw(rng, spec), rng, spec)
+    draw, noise, build, _ = _KINDS[kind]
+    return build(draw(rng, spec), noise(rng.child("data"), spec), spec)
 
 
 @dataclass
@@ -394,19 +424,21 @@ def gen_transfer_pair(kind: str, dim: int, rho: float, rng: RandomSource,
     """Source/target pair whose generative parameters are the convex mix
     rho * source + (1 - rho) * independent draw; sizes as for gen_task.
 
-    The dataset noise stream is shared between source and target, so
-    rho = 1 reproduces the source task exactly while rho = 0 gives a
-    target drawn independently of the source parameters.
+    The dataset noise is drawn once and shared between source and target
+    (the members hold the same noise arrays, such as logistic regression's
+    features), so rho = 1 reproduces the source task exactly while rho = 0
+    gives a target drawn independently of the source parameters.
     """
     spec = _task_spec(kind, dim, rng.seed, sizes)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"relatedness rho must lie in [0, 1], got {rho}")
     spec["rho"] = rho
-    draw, build, _ = _KINDS[kind]
+    draw, draw_noise, build, _ = _KINDS[kind]
     p_src = draw(rng.child("source-params"), spec)
     p_tgt = _mix(rho, p_src, draw(rng.child("independent-params"), spec))
-    return TransferPair(build(p_src, rng, {**spec, "role": "source"}),
-                        build(p_tgt, rng, {**spec, "role": "target"}))
+    noise = draw_noise(rng.child("data"), spec)
+    return TransferPair(build(p_src, noise, {**spec, "role": "source"}),
+                        build(p_tgt, noise, {**spec, "role": "target"}))
 
 
 def task_from_spec(spec: dict) -> Task:

@@ -88,6 +88,24 @@ def test_out_of_range_size_is_a_config_error(tmp_path, capsys, line):
     assert err.count(f"config error: {key}") == 2
 
 
+def test_diagonal_fisher_on_a_quadratic_is_a_config_error(tmp_path, config_path, capsys):
+    # the quadratic task has no dataset: every command refuses the config
+    # before any work, and a sweep does not pretrain
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(config_path.read_text() + "penalty.kind=diagonal-fisher\n")
+    assert main(["pretrain", "--config", str(config_path)]) == 0
+    theta_star = tmp_path / "exp" / "theta_star.bin"
+    assert main(["finetune", "--config", str(bad), "--theta-star", str(theta_star)]) == 2
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds=0\n")
+    theta_star.unlink()
+    assert main(["sweep", "--config", str(bad), "--grid", str(grid)]) == 2
+    assert not theta_star.exists()
+    assert not (tmp_path / "exp" / "runs").exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: penalty.kind=diagonal-fisher needs a task with a dataset") == 2
+
+
 @pytest.mark.parametrize("grid_text", ["gamma=1.0,-1.0", "t0=-5", "k=0.1,0.1000001"])
 def test_bad_grid_is_a_config_error_before_any_run(tmp_path, config_path, capsys, grid_text):
     # a value the config refuses, or two k values that print alike and so

@@ -113,6 +113,20 @@ output_dir=out
         config_from_values(parse_flat_text(text.replace("dim_in=10", "dim_in=0")))
 
 
+@pytest.mark.parametrize("kind", ["linear-regression", "logistic-regression"])
+def test_diagonal_fisher_needs_a_dataset(kind):
+    # a quadratic task has no samples to estimate a Fisher diagonal from
+    text = BASE + "penalty.kind=diagonal-fisher\n"
+    with pytest.raises(ConfigError, match="penalty.kind=diagonal-fisher needs a task with "
+                                          "a dataset.*transfer.kind=quadratic"):
+        config_from_values(parse_flat_text(text))
+    cfg = config_from_values(parse_flat_text(text.replace("transfer.kind=quadratic",
+                                                          f"transfer.kind={kind}")))
+    assert cfg.penalty.kind == "diagonal-fisher"
+    with pytest.raises(ConfigError, match="needs a task with a dataset"):
+        cfg.with_values({"transfer.kind": "quadratic"})
+
+
 def test_unknown_key_in_values_is_an_error():
     base = parse_flat_text(BASE)
     with pytest.raises(ConfigError, match="unknown key 'penalty.gama'"):

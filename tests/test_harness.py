@@ -1,3 +1,5 @@
+import csv
+import json
 import re
 from pathlib import Path
 
@@ -7,11 +9,16 @@ import pytest
 from recadamlab import harness
 from recadamlab.cli import main
 from recadamlab.config import config_from_values, parse_flat_text
-from recadamlab.errors import ConfigError, DimensionError, NoDataError
+from recadamlab.errors import ConfigError, DimensionError, NoDataError, NumericError
 from recadamlab.harness import (TRACE_COLUMNS, TrainingTrace, build_transfer_pair,
                                 finetune, pretrain, read_trace, reference_threshold,
                                 report, sweep)
+from recadamlab.numkit import RandomSource
+from recadamlab.optim import AdamConfig
+from recadamlab.recall import PenaltyModel
+from recadamlab.shifting import AnnealSchedule
 from recadamlab.storage import read_vector, write_vector
+from recadamlab.tasks import gen_task
 
 QUAD_BASE = """
 transfer.kind=quadratic
@@ -309,6 +316,204 @@ class TestSweep:
         _, direct = finetune(cfg, mutated, seed=0)
         assert trace.column("dist_to_pretrained")[-1] > 0
         assert direct.final_dist_to_pretrained > 0
+
+
+FISHER_BASE = """
+transfer.kind=logistic-regression
+transfer.dim=6
+transfer.rho=0.7
+transfer.seed=4
+transfer.n_samples=256
+pretrain.steps=150
+pretrain.batch_size=32
+pretrain.optimizer.alpha=0.05
+finetune.steps=90
+finetune.batch_size=32
+finetune.optimizer.kind={kind}
+finetune.optimizer.alpha=0.02
+finetune.init={init}
+finetune.schedule.kind=linear-warmup-constant
+finetune.schedule.warmup_steps=20000
+penalty.kind=diagonal-fisher
+penalty.fisher_samples=64
+seeds=0
+output_dir={out}
+"""
+
+
+def counted(monkeypatch, name):
+    """Count the calls of the harness-module function name."""
+    calls = []
+    real = getattr(harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+def assert_runs_match_lone_finetunes(cfg, theta_star, lone_root):
+    """Each run of the sweep in cfg.output_dir holds the same trace.csv,
+    summary.json and config.json bytes as a lone finetune of its recorded
+    config and seed; a failed run's status names the step at which its lone
+    finetune raised, and its partial trace stops the step before."""
+    out = Path(cfg.output_dir)
+    with open(out / "summaries.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(list((out / "runs").iterdir()))
+    statuses = []
+    for row in rows:
+        run_dir = out / "runs" / harness._run_id(float(row["k"]), int(row["t0"]),
+                                                 float(row["gamma"]), int(row["seed"]))
+        flat = json.loads((run_dir / "config.json").read_text())
+        seed = int(flat.pop("run_seed"))
+        run_cfg = config_from_values(parse_flat_text(
+            "\n".join(f"{key}={value}" for key, value in flat.items())))
+        lone = lone_root / run_dir.name
+        try:
+            finetune(run_cfg, theta_star, seed, run_dir=lone)
+        except NumericError as exc:
+            assert row["status"] == f"failed:step{exc.step}"
+            assert len(read_trace(run_dir / "trace.csv")) == exc.step - 1
+        else:
+            assert row["status"] == "ok"
+        statuses.append(row["status"])
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(p.name for p in lone.iterdir())
+        for path in lone.iterdir():
+            assert (run_dir / path.name).read_bytes() == path.read_bytes(), (run_dir, path.name)
+    return statuses
+
+
+class TestBatchedSweep:
+    """A sweep advances its runs together, as the rows of one loop; every
+    run's files are the bytes a lone finetune writes."""
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("chunk, budget", [(64, 2**18), (3, 2**18), (64, 300)])
+    def test_quadratic_grid_equals_lone_runs(self, tmp_path, monkeypatch, chunk, budget):
+        # gamma=5000 with a constant schedule diverges: those rows fail at
+        # their own steps while the gamma=1 rows of the same stack go on
+        monkeypatch.setattr(harness, "_SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(harness, "_TRACE_ROW_BUDGET", budget)
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 500})
+        theta_star, _ = pretrain(cfg)
+        sweep(cfg, {"k": (0.05, 0.5), "t0": (20, 100), "gamma": (1.0, 5000.0),
+                    "seeds": (0, 1)})
+        statuses = assert_runs_match_lone_finetunes(cfg, theta_star, tmp_path / "lone")
+        assert statuses.count("ok") == 10
+        assert set(statuses) - {"ok"} == {"failed:step43", "failed:step48"}
+
+    @pytest.mark.parametrize("kind, init", [("recadam", "random"),
+                                            ("recadam-coupled", "pretrained")])
+    def test_diagonal_fisher_grid_equals_lone_runs(self, tmp_path, monkeypatch, kind, init):
+        # per-run batch streams, and one Fisher diagonal shared by every run
+        cfg = config_from_values(parse_flat_text(FISHER_BASE.format(
+            kind=kind, init=init, out=tmp_path / "exp")))
+        theta_star, _ = pretrain(cfg)
+        fisher_calls = counted(monkeypatch, "estimate_diag_fisher")
+        sweep(cfg, {"k": (0.1, 1.0), "t0": (10, 40), "gamma": None, "seeds": (0, 1, 2)})
+        assert len(fisher_calls) == 1
+        statuses = assert_runs_match_lone_finetunes(cfg, theta_star, tmp_path / "lone")
+        assert statuses == ["ok"] * 12
+
+    def test_sweep_builds_the_transfer_pair_once(self, tmp_path, monkeypatch):
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        pretrain(cfg)  # theta_star.bin exists, so the sweep does not pretrain
+        pair_calls = counted(monkeypatch, "gen_transfer_pair")
+        summaries = sweep(cfg, {"k": (0.1, 0.2), "t0": (5, 10), "gamma": (1.0, 2.0),
+                                "seeds": (0, 1)})
+        assert len(summaries) == 16
+        assert len(pair_calls) == 1
+
+    @pytest.mark.parametrize("steps, stacks", [(40, [2, 2, 2]), (150, [1] * 6)])
+    def test_a_long_sweep_runs_in_smaller_chunks(self, tmp_path, monkeypatch, steps, stacks):
+        # a chunk holds at most _TRACE_ROW_BUDGET trace rows, and at least one run
+        monkeypatch.setattr(harness, "_TRACE_ROW_BUDGET", 100)
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": steps, "pretrain.steps": 100})
+        pretrain(cfg)
+        sizes = []
+        real = harness._run_loop
+
+        def recorded(task, theta0, *args, **kwargs):
+            sizes.append(len(theta0))
+            return real(task, theta0, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_loop", recorded)
+        summaries = sweep(cfg, {"k": (0.1, 0.2, 0.3), "t0": None, "gamma": None,
+                                "seeds": (0, 1)})
+        assert len(summaries) == 6
+        assert sizes == stacks
+
+    @pytest.mark.parametrize("bad, message, step", [
+        ("loss", "non-finite loss at step 3", 3),
+        ("gradient", "non-finite values in gradient", 3),
+        ("penalty gradient", "non-finite values in penalty gradient", 1)])
+    @pytest.mark.parametrize("n_runs", [1, 2])
+    def test_a_failing_run_gets_the_lone_run_message(self, bad, message, step, n_runs):
+        # the message a lone finetune raised before runs were stacked, and
+        # the CLI prints; in a stack of two, only the failing row leaves
+        class Bowl:
+            """0.5 |theta|^2 for one run or a stack, with a NaN in row 0 at step 3."""
+            calls = 0
+
+            def dataset_size(self):
+                return 0
+
+            def loss_and_grad(self, theta, batch=None):
+                self.calls += 1
+                stack = np.atleast_2d(theta)
+                losses, grads = 0.5 * (stack * stack).sum(axis=1), stack.copy()
+                if self.calls == 3 and bad == "loss":
+                    losses[0] = np.nan
+                if self.calls == 3 and bad == "gradient":
+                    grads[0, 1] = np.nan
+                return (losses, grads) if theta.ndim == 2 else (float(losses[0]), grads[0])
+
+        gammas = [np.inf if bad == "penalty gradient" else 1.0, 1.0][:n_runs]
+        results = harness._run_loop(
+            Bowl(), np.ones((n_runs, 2)), 5, 1, [None] * n_runs, None,
+            PenaltyModel.isotropic(np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
+            anneals=[AnnealSchedule(0.1, 2)] * n_runs, gammas=gammas)
+        assert isinstance(results[0], NumericError)
+        assert (str(results[0]), results[0].step) == (message, step)
+        if n_runs == 2:
+            trace, _ = results[1]
+            assert len(trace) == 5
+
+    def test_an_error_mid_run_leaves_the_rows_before_it(self, tmp_path, monkeypatch):
+        # each row goes out after its step; an interrupted run leaves every step it took
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 100,
+                                    "finetune.optimizer.kind": "adam"})
+        theta_star, _ = pretrain(cfg)
+        real = harness.adam_step
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 100:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(harness, "adam_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "run")
+        assert len(read_trace(tmp_path / "run" / "trace.csv")) == 99
+
+    @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
+    def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):
+        # the loop hands a quadratic task the whole (runs, dim) stack at once
+        task = gen_task("quadratic", dim, RandomSource(dim))
+        theta = RandomSource(runs).normal((runs, dim), scale=3.0)
+        losses, grads = task.loss_and_grad(theta)
+        assert losses.shape == (runs,) and grads.shape == (runs, dim)
+        for row, loss, grad in zip(theta, losses, grads):
+            lone_loss, lone_grad = task.loss_and_grad(row)
+            assert loss == lone_loss
+            assert np.array_equal(grad, lone_grad)
+        with pytest.raises(DimensionError):
+            task.loss_and_grad(np.zeros((runs, dim + 1)))
 
 
 class TestReport:
