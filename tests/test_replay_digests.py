@@ -5,8 +5,9 @@ steps and pins the sha256 of the ``trace.csv`` and ``summary.json`` it
 writes.  A refactor of the steppers, the penalty or the training loop must
 leave these bytes unchanged.  One more case pins the three files ``report``
 writes for a directory of five runs, so a change to how traces are read or
-aggregated must leave those bytes unchanged too.  The digests belong to the NumPy/BLAS build
-they were taken on (NumPy 2.4, OpenBLAS, x86-64); another build may round
+aggregated must leave those bytes unchanged too, and one pins the
+``summaries.csv`` and ``best_config.txt`` a small sweep writes, failed rows
+included.  The digests belong to the NumPy/BLAS build they were taken on (NumPy 2.4, OpenBLAS, x86-64); another build may round
 a reduction differently and then needs its own digests.
 """
 
@@ -15,7 +16,7 @@ import hashlib
 import pytest
 
 from recadamlab.config import config_from_values, parse_flat_text
-from recadamlab.harness import finetune, pretrain, report
+from recadamlab.harness import finetune, pretrain, report, sweep
 
 ISOTROPIC_CFG = """
 transfer.kind=quadratic
@@ -155,3 +156,43 @@ def test_report_writes_pinned_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in REPORT_DIGESTS}
     assert digests == REPORT_DIGESTS
+
+
+SWEEP_CFG = """
+transfer.kind=quadratic
+transfer.dim=12
+transfer.rho=0.7
+transfer.seed=6
+pretrain.steps=200
+pretrain.optimizer.alpha=0.1
+finetune.steps=100
+finetune.optimizer.kind=recadam
+finetune.optimizer.alpha=0.05
+finetune.init=random
+finetune.loss_threshold=0.5
+shifting.k=0.1
+shifting.t0=40
+penalty.kind=isotropic
+penalty.gamma=1.0
+seeds=0,1
+output_dir={out}
+"""
+
+# gamma=5000 with k=0.05 fails at step 48, so two rows are failed:step48
+# with empty cells; k=0.5 reaches lambda=1 in time, and those rows finish
+# without reaching the loss threshold (another empty cell)
+SWEEP_DIGESTS = {
+    "summaries.csv":
+        "9b721707134cad040adfe7457e3d050af4dcf2a49b56e7591d9c50a47218b6c1",
+    "best_config.txt":
+        "649a7145587dbe9b48af7beb880e0d894fbaf1740a3746029319816c358538b0",
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_sweep_writes_pinned_bytes(tmp_path):
+    cfg = config_from_values(parse_flat_text(SWEEP_CFG.format(out=tmp_path)))
+    sweep(cfg, {"k": (0.05, 0.5), "t0": (20,), "gamma": (1.0, 5000.0), "seeds": None})
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SWEEP_DIGESTS}
+    assert digests == SWEEP_DIGESTS
