@@ -33,10 +33,10 @@ from .errors import ConfigError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
+from .recall import PenaltyModel, _penalty_terms, estimate_diag_fisher
 # penalty_loss and penalty_grad are not called here, but perfbench/tracer.py
 # wraps them under these names, so they stay importable from this module
-from .recall import (PenaltyModel, _penalty_terms, estimate_diag_fisher,  # noqa: F401
-                     penalty_grad, penalty_loss)
+from .recall import penalty_grad, penalty_loss  # noqa: F401
 from .shifting import composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import TransferPair, batch_stream, gen_transfer_pair
@@ -185,20 +185,20 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     data[:, :, _LAMBDA] = 1.0
     for i, anneal in enumerate(anneals if recall else ()):
         data[i, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
-    gammas = None if gammas is None else np.asarray(gammas, dtype=np.float64)
-    streams = None
-    if task.dataset_size() > 0:
-        streams = [batch_stream(task.dataset_size(), batch_size, rng) for rng in batch_rngs]
+    gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, dtype=np.float64)
+    # per row: the run, its batch stream and its trace writer (None: no dataset, no file)
+    runs = list(range(len(theta)))
+    size = task.dataset_size()
+    streams = [batch_stream(size, batch_size, rng) if size > 0 else None for rng in batch_rngs]
+    writers = [None] * len(theta)
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call and checks its loss as a float, which costs less a step
-    stacked = streams is None and len(theta) > 1
+    stacked = size == 0 and len(theta) > 1
     grad = np.empty_like(theta)
-    runs = list(range(len(theta)))  # the run of each row
     results = [None] * len(theta)
-    writers = None if trace_paths is None else []
     try:
-        for path in trace_paths or ():
-            writers.append(TraceWriter(path))
+        for i, path in enumerate(trace_paths or ()):
+            writers[i] = TraceWriter(path)
         for t in range(1, steps + 1):
             row = data[:, t - 1]
             if stacked:
@@ -206,9 +206,9 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 losses_finite = math.isfinite(row[:, _LOSS].sum())
             else:
                 losses_finite = True
-                for i in range(len(theta)):
+                for i, stream in enumerate(streams):
                     loss, grad[i] = task.loss_and_grad(
-                        theta[i], None if streams is None else next(streams[i]))
+                        theta[i], None if stream is None else next(stream))
                     row[i, _LOSS] = loss
                     losses_finite = losses_finite and math.isfinite(loss)
             pval, pgrad, dist = _penalty_terms(pen, theta, recall, gammas)
@@ -223,25 +223,24 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                                     row[:, _LAMBDA:_LAMBDA + 1], pgrad)
             except NumericError:
                 keep = _retire(t, row, grad, pgrad, runs, results, writers)
-                runs = [r for r, k in zip(runs, keep) if k]
+                runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
+                                          for per_run in (runs, streams, writers))
                 if not runs:
                     break
-                theta, grad, data = theta[keep], grad[keep], data[keep]
-                state = AdamState(state.t, state.m[keep], state.v[keep])
+                theta, grad, data, gammas, m, v = (
+                    array[keep] for array in (theta, grad, data, gammas, state.m, state.v))
+                state = AdamState(state.t, m, v)
                 pgrad = None if pgrad is None else pgrad[keep]
-                gammas = None if gammas is None else gammas[keep]
-                streams = None if streams is None else [s for s, k in zip(streams, keep) if k]
-                writers = None if writers is None else [w for w, k in zip(writers, keep) if k]
                 row = data[:, t - 1]
                 theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
                                     row[:, _LAMBDA:_LAMBDA + 1], pgrad)
             for i, values in enumerate(row.tolist()):
                 row[i, _COMPOSITE] = values[_COMPOSITE] = composite_loss(
                     values[_LAMBDA], values[_LOSS], values[_PENALTY])
-                if writers is not None:
+                if writers[i] is not None:
                     writers[i].write_row(values)
     finally:
-        for writer in writers or ():
+        for writer in filter(None, writers):
             writer.close()
     for i, run in enumerate(runs):
         results[run] = (TrainingTrace(data[i]), theta[i])
@@ -251,7 +250,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
 def _retire(t, row, grad, pgrad, runs, results, writers):
     """Record a NumericError for each run with a non-finite loss, gradient
     or penalty gradient at step t, with the message a lone run raises, and
-    close its writer; returns the mask of the rows that go on."""
+    close its trace file, if any; returns the mask of the rows that go on."""
     checks = [(f"non-finite loss at step {t}", np.isfinite(row[:, _LOSS])),
               ("non-finite values in gradient", np.isfinite(grad).all(axis=1))]
     if pgrad is not None:
@@ -260,10 +259,18 @@ def _retire(t, row, grad, pgrad, runs, results, writers):
     for message, finite in checks:
         for i in np.flatnonzero(keep & ~finite):
             results[runs[i]] = NumericError(message, step=t)
-            if writers is not None:
+            if writers[i] is not None:
                 writers[i].close()
         keep &= finite
     return keep
+
+
+def _lone(results):
+    """The result of a lone run of _run_loop; raises it if it is a NumericError."""
+    [result] = results
+    if isinstance(result, NumericError):
+        raise result
+    return result
 
 
 def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
@@ -271,8 +278,11 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
 
     Persists theta_star and the pretraining trace under cfg.output_dir.
     """
-    pair = build_transfer_pair(cfg)
-    task = pair.source
+    return _pretrain(cfg, build_transfer_pair(cfg).source, write_outputs)
+
+
+def _pretrain(cfg: ExperimentConfig, task, write_outputs: bool):
+    """pretrain on task, the source task of cfg's transfer pair; sweep builds the pair once."""
     root = RandomSource(cfg.transfer.seed)
     theta0 = RANDOM_INIT_STD * root.child("pretrain-init").normal(task.dim)
     trace_paths = None
@@ -280,12 +290,10 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         trace_paths = [out / "pretrain_trace.csv"]
-    [result] = _run_loop(task, theta0[None], cfg.pretrain.steps, cfg.pretrain.batch_size,
-                         [root.child("pretrain-batches")], trace_paths,
-                         PenaltyModel.none(np.zeros(task.dim)), "adam", cfg.pretrain.optimizer)
-    if isinstance(result, NumericError):
-        raise result
-    trace, theta = result
+    trace, theta = _lone(_run_loop(task, theta0[None], cfg.pretrain.steps,
+                                   cfg.pretrain.batch_size, [root.child("pretrain-batches")],
+                                   trace_paths, PenaltyModel.none(np.zeros(task.dim)), "adam",
+                                   cfg.pretrain.optimizer))
     theta_star = theta.copy()
     theta_star.flags.writeable = False
     if write_outputs:
@@ -293,10 +301,9 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     return theta_star, trace
 
 
-def _shared_setup(cfg: ExperimentConfig, theta_star: np.ndarray):
+def _shared_setup(cfg: ExperimentConfig, pair: TransferPair, theta_star: np.ndarray):
     """(target task, penalty): what every fine-tuning run of cfg, or of a
     sweep over it, shares; the penalty holds any Fisher diagonal."""
-    pair = build_transfer_pair(cfg)
     if theta_star.size != pair.target.dim:
         raise ConfigError(f"theta_star length {theta_star.size} != task dim {pair.target.dim}")
     return pair.target, build_penalty(cfg, pair, theta_star)
@@ -349,14 +356,11 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
     config.json into run_dir when given.  A non-finite value raises
     NumericError and leaves the trace of the steps before it.
     """
-    task, pen = _shared_setup(cfg, theta_star)
+    task, pen = _shared_setup(cfg, build_transfer_pair(cfg), theta_star)
     if run_dir is not None:
         run_dir = Path(run_dir)
         _write_run_config(run_dir, cfg, seed)
-    [result] = _finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)])
-    if isinstance(result, NumericError):
-        raise result
-    return result
+    return _lone(_finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
 def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
@@ -440,12 +444,13 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    pair = build_transfer_pair(cfg)
     theta_path = out / "theta_star.bin"
     if theta_path.exists():
         theta_star = read_vector(theta_path)
     else:
-        theta_star, _ = pretrain(cfg)
-    task, pen = _shared_setup(cfg, theta_star)
+        theta_star, _ = _pretrain(cfg, pair.source, True)
+    task, pen = _shared_setup(cfg, pair, theta_star)
     points = list(runs.values())
     jobs = [(run_cfg, point["seed"], out / "runs" / run_id)
             for run_id, (point, run_cfg) in runs.items()]
@@ -461,22 +466,20 @@ def sweep(cfg: ExperimentConfig, grid: dict):
                 rows.append({**point, "status": f"failed:step{result.step}",
                              "config_hash": run_cfg.config_hash()})
                 continue
-            summary = result[1]
-            summaries.append(summary)
-            rows.append({**point, **summary.to_dict(), "status": "ok"})
-
-    with open(out / "summaries.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(field)) for field in SUMMARY_FIELDS])
-
-    best = _best_configuration(rows)
-    if best is not None:
-        line = (f"best configuration by median final_target_loss: "
-                f"k={best[0]:g} t0={best[1]} gamma={best[2]:g} "
-                f"(median={_fmt(best[3])})")
-        (out / "best_config.txt").write_text(line + "\n")
+            summaries.append(result[1])
+            rows.append({**point, **result[1].to_dict(), "status": "ok"})
+    _write_table(out / "summaries.csv", SUMMARY_FIELDS,
+                 ([_format_cell(row.get(field)) for field in SUMMARY_FIELDS] for row in rows))
+    # the lowest median, ties to the smallest (k, t0, gamma)
+    groups = _group((row for row in rows if row["status"] == "ok"),
+                    lambda row: (row["k"], row["t0"], row["gamma"]))
+    if groups:
+        median, (k, t0, gamma) = min(
+            (float(np.median([row["final_target_loss"] for row in group])), key)
+            for key, group in groups.items())
+        (out / "best_config.txt").write_text(
+            f"best configuration by median final_target_loss: k={k:g} t0={t0} "
+            f"gamma={gamma:g} (median={_fmt(median)})\n")
     return summaries
 
 
@@ -488,19 +491,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _best_configuration(rows):
+def _group(items, key) -> dict:
+    """key(item) -> the items with that key, in order; keys in order of first appearance."""
     groups = {}
-    for row in rows:
-        if row["status"] != "ok":
-            continue
-        groups.setdefault((row["k"], row["t0"], row["gamma"]), []).append(
-            row["final_target_loss"])
-    if not groups:
-        return None
-    scored = [(float(np.median(v)), key) for key, v in groups.items()]
-    scored.sort(key=lambda item: (item[0], item[1]))
-    median, (k, t0, gamma) = scored[0]
-    return k, t0, gamma, median
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
+
+
+def _write_table(path: Path, header, rows) -> Path:
+    """Write a CSV file of the header row and then rows; returns path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 # --- reporting ---------------------------------------------------------------
@@ -540,61 +545,42 @@ def report(run_dir: str | os.PathLike) -> list:
     runs = _discover_runs(run_dir)
     if not runs:
         raise NoDataError(f"no completed runs (config, trace and summary) under {run_dir}")
-    written = []
-
     # (a) per-k learning curves: one median over the stacked runs per k for all
     # steps at once, equal per step to that step's own median (odd or even count)
-    by_k = {}
-    for run in runs:
-        by_k.setdefault(float(run["flat"]["shifting.k"]), []).append(run["trace"].data)
+    by_k = _group(runs, lambda run: float(run["flat"]["shifting.k"]))
     ks = sorted(by_k)
     n_steps = min(len(run["trace"]) for run in runs)
     cols = [TRACE_COLUMNS.index("target_loss"), TRACE_COLUMNS.index("dist_to_pretrained")]
-    curves = np.hstack([np.median(np.stack([data[:n_steps, cols] for data in by_k[k]]), axis=0)
-                        for k in ks])
-    curve_path = run_dir / "learning_curves.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"{name}_k={k:g}"
-                                    for k in ks for name in ("target_loss", "dist")])
-        writer.writerows([str(step), *map(_fmt, values)]
-                         for step, values in enumerate(curves.tolist(), start=1))
-    written.append(curve_path)
+    curves = np.hstack([np.median(np.stack([run["trace"].data[:n_steps, cols]
+                                            for run in by_k[k]]), axis=0) for k in ks])
+    written = [_write_table(
+        run_dir / "learning_curves.csv",
+        ["step"] + [f"{name}_k={k:g}" for k in ks for name in ("target_loss", "dist")],
+        ([str(step), *map(_fmt, values)] for step, values in enumerate(curves.tolist(), start=1)))]
 
     # (b) median-over-seeds summary per configuration
-    by_cfg = {}
-    for run in runs:
-        by_cfg.setdefault(run["summary"].config_hash, []).append(run)
-    summary_path = run_dir / "summary_median.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config_hash", "optimizer_kind", "init", "k", "t0", "gamma",
-                         "n_runs", "median_final_target_loss",
-                         "median_best_target_loss", "median_steps_to_threshold",
-                         "median_final_dist_to_pretrained"])
-        for cfg_hash in sorted(by_cfg):
-            group = by_cfg[cfg_hash]
-            flat = group[0]["flat"]
-            writer.writerow([
-                cfg_hash, flat["finetune.optimizer.kind"], flat["finetune.init"],
-                flat["shifting.k"], flat["shifting.t0"], flat["penalty.gamma"],
-                str(len(group)),
-                _median_of(group, "final_target_loss"), _median_of(group, "best_target_loss"),
-                _format_cell(_median_or_none([r["summary"].steps_to_threshold for r in group])),
-                _median_of(group, "final_dist_to_pretrained"),
-            ])
-    written.append(summary_path)
+    rows = []
+    for cfg_hash, group in sorted(_group(runs, lambda run: run["summary"].config_hash).items()):
+        flat = group[0]["flat"]
+        rows.append([
+            cfg_hash, flat["finetune.optimizer.kind"], flat["finetune.init"],
+            flat["shifting.k"], flat["shifting.t0"], flat["penalty.gamma"], str(len(group)),
+            _median_of(group, "final_target_loss"), _median_of(group, "best_target_loss"),
+            _format_cell(_median_or_none([r["summary"].steps_to_threshold for r in group])),
+            _median_of(group, "final_dist_to_pretrained"),
+        ])
+    written.append(_write_table(
+        run_dir / "summary_median.csv",
+        ["config_hash", "optimizer_kind", "init", "k", "t0", "gamma", "n_runs",
+         "median_final_target_loss", "median_best_target_loss", "median_steps_to_threshold",
+         "median_final_dist_to_pretrained"], rows))
 
     # (c) init-strategy comparison when both modes are present
-    inits = {r["flat"]["finetune.init"] for r in runs}
-    if {"random", "pretrained"} <= inits:
-        comparison_path = run_dir / "init_comparison.csv"
-        with open(comparison_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "init", "median"])
-            for name in ("final_target_loss", "best_target_loss", "final_dist_to_pretrained"):
-                for init in ("random", "pretrained"):
-                    group = [r for r in runs if r["flat"]["finetune.init"] == init]
-                    writer.writerow([name, init, _median_of(group, name)])
-        written.append(comparison_path)
+    by_init = _group(runs, lambda run: run["flat"]["finetune.init"])
+    if {"random", "pretrained"} <= by_init.keys():
+        written.append(_write_table(
+            run_dir / "init_comparison.csv", ["metric", "init", "median"],
+            ([name, init, _median_of(by_init[init], name)]
+             for name in ("final_target_loss", "best_target_loss", "final_dist_to_pretrained")
+             for init in ("random", "pretrained"))))
     return written

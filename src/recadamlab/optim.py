@@ -107,11 +107,9 @@ def _adaptive_step(theta, state: AdamState, config: AdamConfig, grad,
         check_same_length(theta, penalty_grad)
         # lambda is mathematically in (0, 1) but underflows to exact 0.0/1.0 in
         # float64 for large |k (t - t0)|; both closures are admitted
-        if isinstance(lambda_t, np.ndarray):  # a column, one lambda per row of theta
-            in_range = 0.0 <= lambda_t.min() and lambda_t.max() <= 1.0
-        else:
-            in_range = 0.0 <= lambda_t <= 1.0
-        if not in_range:
+        # a scalar, or a column with one lambda per row of theta; NaN fails both tests
+        lambdas = np.asarray(lambda_t)
+        if not (0.0 <= lambdas.min() and lambdas.max() <= 1.0):
             raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
         ensure_finite(penalty_grad, "penalty gradient", step=t)
         if coupled:

@@ -420,12 +420,14 @@ class TestBatchedSweep:
 
     def test_sweep_builds_the_transfer_pair_once(self, tmp_path, monkeypatch):
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
-        pretrain(cfg)  # theta_star.bin exists, so the sweep does not pretrain
+        grid = {"k": (0.1, 0.2), "t0": (5, 10), "gamma": (1.0, 2.0), "seeds": (0, 1)}
         pair_calls = counted(monkeypatch, "gen_transfer_pair")
-        summaries = sweep(cfg, {"k": (0.1, 0.2), "t0": (5, 10), "gamma": (1.0, 2.0),
-                                "seeds": (0, 1)})
-        assert len(summaries) == 16
+        # theta_star.bin is missing: the sweep pretrains on the pair it fine-tunes on
+        assert len(sweep(cfg, grid)) == 16
         assert len(pair_calls) == 1
+        # theta_star.bin exists now, so the second sweep does not pretrain
+        assert len(sweep(cfg, grid)) == 16
+        assert len(pair_calls) == 2
 
     @pytest.mark.parametrize("steps, stacks", [(40, [2, 2, 2]), (150, [1] * 6)])
     def test_a_long_sweep_runs_in_smaller_chunks(self, tmp_path, monkeypatch, steps, stacks):

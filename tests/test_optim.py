@@ -200,6 +200,29 @@ class TestRecallVariants:
             assert np.array_equal(theta2, theta - (adam_term + pen_term))
             theta, state = theta2, state2
 
+    @pytest.mark.parametrize("stepper", [recadam_step, coupled_recadam_step])
+    @pytest.mark.parametrize("lambda_t", [1.5, np.nan, np.array([[0.5], [1.5], [0.2]])],
+                             ids=["scalar-1.5", "scalar-nan", "column"])
+    def test_lambda_outside_unit_interval_rejected(self, stepper, lambda_t):
+        with pytest.raises(ValueError, match=r"lambda_t must lie in \[0, 1\]"):
+            stepper(np.zeros((3, 2)), AdamState.fresh((3, 2)), DEFAULTS, 1.0,
+                    np.ones((3, 2)), lambda_t, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("stepper", [recadam_step, coupled_recadam_step])
+    def test_lambda_column_steps_each_row_as_its_scalar(self, stepper):
+        # the training loop passes one lambda per run as an (S, 1) column
+        rng = np.random.default_rng(24)
+        theta, grad, pen, m = rng.normal(size=(4, 3, 5))
+        state = AdamState(2, m, rng.random((3, 5)))
+        lambdas = np.array([[0.0], [0.3], [1.0]])
+        stacked, stacked_state = stepper(theta, state, DEFAULTS, 0.7, grad, lambdas, pen)
+        for i in range(3):
+            lone, lone_state = stepper(theta[i], AdamState(2, state.m[i], state.v[i]), DEFAULTS,
+                                       0.7, grad[i], float(lambdas[i, 0]), pen[i])
+            assert np.array_equal(stacked[i], lone)
+            assert np.array_equal(stacked_state.m[i], lone_state.m)
+            assert np.array_equal(stacked_state.v[i], lone_state.v)
+
     def test_recadam_moments_consume_raw_gradient_only(self):
         # identical gradients but a huge penalty: moments must match adam's
         rng = np.random.default_rng(24)

@@ -7,8 +7,9 @@ leave these bytes unchanged.  One more case pins the three files ``report``
 writes for a directory of five runs, so a change to how traces are read or
 aggregated must leave those bytes unchanged too, and one pins the
 ``summaries.csv`` and ``best_config.txt`` a small sweep writes, failed rows
-included.  The digests belong to the NumPy/BLAS build they were taken on (NumPy 2.4, OpenBLAS, x86-64); another build may round
-a reduction differently and then needs its own digests.
+included.  The digests belong to the NumPy/BLAS build they were taken on
+(NumPy 2.4, OpenBLAS, x86-64); another build may round a reduction
+differently and then needs its own digests.
 """
 
 import hashlib
