@@ -2,12 +2,12 @@
 
 One key per line, sections dotted (``finetune.optimizer.kind=recadam``).
 Blank lines and ``#`` comments are allowed; unknown keys are hard errors.
-Every key's name, type, default and attribute path in ``ExperimentConfig``
-is one row of ``_KEYS``; parsing, defaults, the nested sections, ``to_flat``
-and ``config_hash`` are all derived from that table.  Sections are plain
-namespaces, except those built by their own checking library constructors
-(``AdamConfig``, ``ScheduleMultiplier``, ``AnnealSchedule``).  A derived
-config, such as a sweep grid point, comes from ``cfg.with_values``.
+Every key's name, type, default, bounds and attribute path in
+``ExperimentConfig`` is one row of ``_KEYS``; parsing, defaults, range
+checks, the nested sections, ``to_flat`` and ``config_hash`` derive from it.
+Sections are plain namespaces, except those built by their own checking
+library constructors (``AdamConfig``, ``ScheduleMultiplier``, ``AnnealSchedule``).
+A derived config, such as a sweep grid point, comes from ``cfg.with_values``.
 """
 
 import hashlib
@@ -95,48 +95,50 @@ def _list_of(item: Callable) -> Callable:
 
 _int, _float = _number(int), _number(float)
 _REQUIRED = object()
+_POSITIVE, _NON_NEGATIVE = (1, math.inf), (0, math.inf)
 
 
 class _Key(NamedTuple):
     parse: Callable
     default: object
     attr: str = ""  # attribute path in ExperimentConfig when it differs from the key
+    bounds: tuple = ()  # (low, high) a value must lie in; high may be inf
 
 
 _KEYS = {
     "transfer.kind": _Key(_choice(TASK_KINDS), _REQUIRED),
     "transfer.dim": _Key(_int, 0),
-    "transfer.rho": _Key(_float, _REQUIRED),
+    "transfer.rho": _Key(_float, _REQUIRED, bounds=(0, 1)),
     "transfer.seed": _Key(_int, 0),
-    "transfer.n_samples": _Key(_int, 512),
+    "transfer.n_samples": _Key(_int, 512, bounds=_POSITIVE),
     "transfer.dim_in": _Key(_int, 0),
     "transfer.hidden": _Key(_int, 0),
     "transfer.classes": _Key(_int, 0),
     "transfer.noise_std": _Key(_float, None),
     "transfer.center_scale": _Key(_float, 1.0),
-    "transfer.label_noise": _Key(_float, 0.0),
-    "pretrain.steps": _Key(_int, _REQUIRED),
-    "pretrain.batch_size": _Key(_int, 32),
+    "transfer.label_noise": _Key(_float, 0.0, bounds=(0, 1)),
+    "pretrain.steps": _Key(_int, _REQUIRED, bounds=_POSITIVE),
+    "pretrain.batch_size": _Key(_int, 32, bounds=_POSITIVE),
     "pretrain.optimizer.alpha": _Key(_float, 0.01),
     "pretrain.optimizer.beta1": _Key(_float, 0.9),
     "pretrain.optimizer.beta2": _Key(_float, 0.999),
     "pretrain.optimizer.eps": _Key(_float, 1e-8),
-    "finetune.steps": _Key(_int, _REQUIRED),
-    "finetune.batch_size": _Key(_int, 32),
+    "finetune.steps": _Key(_int, _REQUIRED, bounds=_POSITIVE),
+    "finetune.batch_size": _Key(_int, 32, bounds=_POSITIVE),
     "finetune.optimizer.kind": _Key(_choice(STEPPER_KINDS), "adam", "finetune.optimizer_kind"),
     "finetune.optimizer.alpha": _Key(_float, 0.001),
     "finetune.optimizer.beta1": _Key(_float, 0.9),
     "finetune.optimizer.beta2": _Key(_float, 0.999),
     "finetune.optimizer.eps": _Key(_float, 1e-8),
-    "finetune.optimizer.weight_decay": _Key(_float, 0.0, "finetune.weight_decay"),
+    "finetune.optimizer.weight_decay": _Key(_float, 0.0, "finetune.weight_decay", _NON_NEGATIVE),
     "finetune.init": _Key(_choice(INIT_KINDS), "pretrained"),
     "finetune.schedule.kind": _Key(_choice(SCHEDULE_KINDS), "constant"),
     "finetune.schedule.warmup_steps": _Key(_int, 0),
     "finetune.schedule.total_steps": _Key(_int, 0),
     "finetune.loss_threshold": _Key(_float, None),
     "penalty.kind": _Key(_choice(PENALTY_KINDS), "isotropic"),
-    "penalty.gamma": _Key(_float, 5000.0),
-    "penalty.fisher_samples": _Key(_int, 1000),
+    "penalty.gamma": _Key(_float, 5000.0, bounds=_NON_NEGATIVE),
+    "penalty.fisher_samples": _Key(_int, 1000, bounds=_POSITIVE),
     "shifting.k": _Key(_float, 0.1),
     "shifting.t0": _Key(_int, 250),
     "seeds": _Key(_list_of(_int), (0,)),
@@ -147,10 +149,6 @@ _GET_ALL = attrgetter(*_ATTRS.values())  # one call fetches every key's value, i
 _MLP_DIMS = ("transfer.dim_in", "transfer.hidden", "transfer.classes")
 _TASK_SIZES = _MLP_DIMS + ("transfer.n_samples", "transfer.noise_std", "transfer.center_scale",
                            "transfer.label_noise")
-_MINIMUMS = (("pretrain.steps", 1), ("finetune.steps", 1), ("pretrain.batch_size", 1),
-             ("finetune.batch_size", 1), ("penalty.gamma", 0),
-             ("finetune.optimizer.weight_decay", 0), ("transfer.n_samples", 1),
-             ("penalty.fisher_samples", 1))
 
 
 def _lines(flat: dict) -> str:
@@ -225,12 +223,11 @@ def config_from_values(values: dict) -> ExperimentConfig:
             raise ConfigError(f"missing required key {key!r}")
         else:
             full[key] = row.default
-    for key in ("transfer.rho", "transfer.label_noise"):
-        if not (0.0 <= full[key] <= 1.0):
-            raise ConfigError(f"{key} must lie in [0, 1]")
-    for key, low in _MINIMUMS:
-        if full[key] < low:
-            raise ConfigError(f"{key} must be >= {low}")
+    for key, row in _KEYS.items():
+        if row.bounds and not row.bounds[0] <= full[key] <= row.bounds[1]:
+            low, high = row.bounds
+            raise ConfigError(f"{key} must be >= {low}" if high == math.inf
+                              else f"{key} must lie in [{low}, {high}]")
     if full["penalty.kind"] == "diagonal-fisher" and full["transfer.kind"] not in DATASET_KINDS:
         raise ConfigError(f"penalty.kind=diagonal-fisher needs a task with a dataset to "
                           f"estimate the Fisher from, not transfer.kind={full['transfer.kind']}")

@@ -83,8 +83,7 @@ class TraceWriter:
         self._fh.write(_ROW_FORMAT % tuple(row))
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        self._fh.close()
 
 
 def read_trace(path: str | os.PathLike) -> TrainingTrace:
@@ -122,10 +121,6 @@ class RunSummary:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunSummary":
-        return cls(**doc)
-
 
 def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
     t = cfg.transfer
@@ -135,6 +130,10 @@ def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
 
 def build_penalty(cfg: ExperimentConfig, pair: TransferPair,
                   theta_star: np.ndarray) -> PenaltyModel:
+    """The penalty every fine-tuning run of cfg, or of a sweep over it, shares
+    (with any Fisher diagonal); a theta_star of the wrong length is a ConfigError."""
+    if theta_star.size != pair.target.dim:
+        raise ConfigError(f"theta_star length {theta_star.size} != task dim {pair.target.dim}")
     pen = cfg.penalty
     if pen.kind == "none":
         return PenaltyModel.none(theta_star)
@@ -301,14 +300,6 @@ def _pretrain(cfg: ExperimentConfig, task, write_outputs: bool):
     return theta_star, trace
 
 
-def _shared_setup(cfg: ExperimentConfig, pair: TransferPair, theta_star: np.ndarray):
-    """(target task, penalty): what every fine-tuning run of cfg, or of a
-    sweep over it, shares; the penalty holds any Fisher diagonal."""
-    if theta_star.size != pair.target.dim:
-        raise ConfigError(f"theta_star length {theta_star.size} != task dim {pair.target.dim}")
-    return pair.target, build_penalty(cfg, pair, theta_star)
-
-
 def _write_run_config(run_dir: Path, cfg: ExperimentConfig, seed: int) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(
@@ -356,11 +347,12 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
     config.json into run_dir when given.  A non-finite value raises
     NumericError and leaves the trace of the steps before it.
     """
-    task, pen = _shared_setup(cfg, build_transfer_pair(cfg), theta_star)
+    pair = build_transfer_pair(cfg)
+    pen = build_penalty(cfg, pair, theta_star)
     if run_dir is not None:
         run_dir = Path(run_dir)
         _write_run_config(run_dir, cfg, seed)
-    return _lone(_finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)]))
+    return _lone(_finetune_runs(pair.target, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
 def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
@@ -450,7 +442,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
         theta_star = read_vector(theta_path)
     else:
         theta_star, _ = _pretrain(cfg, pair.source, True)
-    task, pen = _shared_setup(cfg, pair, theta_star)
+    pen = build_penalty(cfg, pair, theta_star)
     points = list(runs.values())
     jobs = [(run_cfg, point["seed"], out / "runs" / run_id)
             for run_id, (point, run_cfg) in runs.items()]
@@ -460,7 +452,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     summaries = []
     chunk = max(1, min(_SWEEP_CHUNK, _TRACE_ROW_BUDGET // cfg.finetune.steps))
     for start in range(0, len(jobs), chunk):
-        results = _finetune_runs(task, pen, theta_star, jobs[start:start + chunk])
+        results = _finetune_runs(pair.target, pen, theta_star, jobs[start:start + chunk])
         for (point, run_cfg), result in zip(points[start:], results):
             if isinstance(result, NumericError):
                 rows.append({**point, "status": f"failed:step{result.step}",
@@ -520,7 +512,7 @@ def _discover_runs(run_dir: Path):
             continue
         runs.append({"flat": json.loads(config_path.read_text()),
                      "trace": read_trace(trace_path),
-                     "summary": RunSummary.from_dict(json.loads(summary_path.read_text()))})
+                     "summary": RunSummary(**json.loads(summary_path.read_text()))})
     return runs
 
 
@@ -550,8 +542,7 @@ def report(run_dir: str | os.PathLike) -> list:
     by_k = _group(runs, lambda run: float(run["flat"]["shifting.k"]))
     ks = sorted(by_k)
     n_steps = min(len(run["trace"]) for run in runs)
-    cols = [TRACE_COLUMNS.index("target_loss"), TRACE_COLUMNS.index("dist_to_pretrained")]
-    curves = np.hstack([np.median(np.stack([run["trace"].data[:n_steps, cols]
+    curves = np.hstack([np.median(np.stack([run["trace"].data[:n_steps, [_LOSS, _DIST]]
                                             for run in by_k[k]]), axis=0) for k in ks])
     written = [_write_table(
         run_dir / "learning_curves.csv",
