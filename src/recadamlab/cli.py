@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: pretrain, finetune, sweep, report.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 no data.
+2 configuration error (an unreadable theta_star checkpoint too), 3 numeric
+failure, 4 no data (a damaged file in a completed run too).
 """
 
 import argparse
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config, load_grid
-from .errors import ConfigError, NoDataError, NumericError
+from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .harness import finetune, pretrain, report, sweep
 from .storage import read_vector
 
@@ -49,7 +50,10 @@ def main(argv=None) -> int:
             print(f"wrote {Path(cfg.output_dir) / 'theta_star.bin'}")
         elif args.command == "finetune":
             cfg = load_config(args.config)
-            theta_star = read_vector(args.theta_star)
+            try:
+                theta_star = read_vector(args.theta_star)
+            except (OSError, DimensionError) as exc:
+                raise ConfigError(f"cannot read theta_star file {args.theta_star}: {exc}") from exc
             seed = cfg.seeds[0] if args.seed is None else args.seed
             run_dir = Path(cfg.output_dir) / "runs" / f"{cfg.config_hash()}-s{seed}"
             trace, summary = finetune(cfg, theta_star, seed, run_dir=run_dir)
@@ -59,8 +63,7 @@ def main(argv=None) -> int:
             print(f"wrote {run_dir / 'trace.csv'}")
         elif args.command == "sweep":
             cfg = load_config(args.config)
-            grid = load_grid(args.grid)
-            summaries = sweep(cfg, grid)
+            summaries = sweep(cfg, load_grid(args.grid))
             print(f"sweep finished: {len(summaries)} successful runs")
             best_path = Path(cfg.output_dir) / "best_config.txt"
             if best_path.exists():

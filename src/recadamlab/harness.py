@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError, NoDataError, NumericError
+from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
@@ -312,15 +312,12 @@ def _finetune_runs(task, pen, theta_star, runs):
     shifting.t0 and penalty.gamma.  Each run dir gets trace.csv, and
     summary.json if the run finishes.  Returns per run (trace, summary), or
     the run's NumericError."""
-    cfg = runs[0][0]
-    ft = cfg.finetune
+    ft = runs[0][0].finetune
     theta0 = np.empty((len(runs), task.dim))
     for i, (_, seed, _) in enumerate(runs):
         theta0[i] = (RANDOM_INIT_STD * RandomSource(seed).child("init").normal(task.dim)
                      if ft.init == "random" else theta_star)
-    trace_paths = None
-    if runs[0][2] is not None:
-        trace_paths = [Path(run_dir) / "trace.csv" for _, _, run_dir in runs]
+    trace_paths = None if runs[0][2] is None else [Path(d) / "trace.csv" for _, _, d in runs]
     results = _run_loop(task, theta0, ft.steps, ft.batch_size,
                         [RandomSource(seed).child("batches") for _, seed, _ in runs], trace_paths,
                         pen, ft.optimizer_kind, ft.optimizer, ft.weight_decay, ft.schedule,
@@ -350,8 +347,7 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
     pair = build_transfer_pair(cfg)
     pen = build_penalty(cfg, pair, theta_star)
     if run_dir is not None:
-        run_dir = Path(run_dir)
-        _write_run_config(run_dir, cfg, seed)
+        _write_run_config(Path(run_dir), cfg, seed)
     return _lone(_finetune_runs(pair.target, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
@@ -363,9 +359,8 @@ def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
         hits = np.nonzero(losses < loss_threshold)[0]
         if hits.size:
             steps_to = int(trace.column("step")[hits[0]])
-    final_full = task.loss_and_grad(theta_final, None)[0]
     return RunSummary(
-        final_target_loss=float(final_full),
+        final_target_loss=float(task.loss_and_grad(theta_final, None)[0]),
         best_target_loss=float(losses.min()),
         steps_to_threshold=steps_to,
         final_dist_to_pretrained=l2_distance(theta_final, theta_star),
@@ -422,16 +417,18 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     """Run the Cartesian product of grid values over (k, t0, gamma, seeds).
 
     Grid entries left as None fall back to the base config's single value.
-    Every grid point is checked before pretraining.  The transfer pair and
-    any Fisher diagonal are built once, and every run's directory under
-    output_dir/runs and its config.json are written up front.  The runs
-    then advance together, as the rows of one training loop, in chunks of
-    at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows
-    (at least one run a chunk); each run's files are the bytes a lone
-    finetune of its config and seed writes.  A run that fails is recorded
-    as failed:stepN in the summary table and skipped; the others go on.
-    A sweep killed mid-chunk leaves partial traces for every run of that
-    chunk.
+    Every grid point is checked before pretraining, which runs only when
+    output_dir/theta_star.bin is missing (an unreadable one is a ConfigError).
+    The transfer pair and any Fisher diagonal are built once, and every run's
+    directory under output_dir/runs and its config.json are written up front.
+    The runs then advance together, as the rows of one training loop, in chunks
+    of at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows (at
+    least one run a chunk); each run's files are the bytes a lone finetune of
+    its config and seed writes.  A run that fails is recorded as failed:stepN
+    in the summary table and skipped; the others go on.  A sweep killed
+    mid-chunk leaves partial traces for every run of that chunk.
+    best_config.txt names the (k, t0, gamma) of the lowest median
+    final_target_loss; a sweep with no ok run removes an earlier one.
     """
     runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
@@ -439,7 +436,10 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     pair = build_transfer_pair(cfg)
     theta_path = out / "theta_star.bin"
     if theta_path.exists():
-        theta_star = read_vector(theta_path)
+        try:
+            theta_star = read_vector(theta_path)
+        except (OSError, DimensionError) as exc:
+            raise ConfigError(f"cannot read theta_star file {theta_path}: {exc}") from exc
     else:
         theta_star, _ = _pretrain(cfg, pair.source, True)
     pen = build_penalty(cfg, pair, theta_star)
@@ -462,6 +462,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
             rows.append({**point, **result[1].to_dict(), "status": "ok"})
     _write_table(out / "summaries.csv", SUMMARY_FIELDS,
                  ([_format_cell(row.get(field)) for field in SUMMARY_FIELDS] for row in rows))
+    (out / "best_config.txt").unlink(missing_ok=True)  # a sweep with no ok run leaves none
     # the lowest median, ties to the smallest (k, t0, gamma)
     groups = _group((row for row in rows if row["status"] == "ok"),
                     lambda row: (row["k"], row["t0"], row["gamma"]))
@@ -510,10 +511,17 @@ def _discover_runs(run_dir: Path):
         summary_path = config_path.parent / "summary.json"
         if not (trace_path.exists() and summary_path.exists()):
             continue
-        runs.append({"flat": json.loads(config_path.read_text()),
-                     "trace": read_trace(trace_path),
-                     "summary": RunSummary(**json.loads(summary_path.read_text()))})
+        runs.append({"flat": _read_json(config_path, dict), "trace": read_trace(trace_path),
+                     "summary": _read_json(summary_path, RunSummary)})
     return runs
+
+
+def _read_json(path: Path, build):
+    """build(**the JSON object in path); a damaged file is NoDataError naming it."""
+    try:
+        return build(**json.loads(path.read_text()))
+    except (ValueError, TypeError) as exc:
+        raise NoDataError(f"malformed {path}: {exc}") from None
 
 
 def _median_of(runs, name: str) -> str:
@@ -521,8 +529,7 @@ def _median_of(runs, name: str) -> str:
 
 
 def _median_or_none(values):
-    vals = [math.inf if v is None else v for v in values]
-    med = float(np.median(vals))
+    med = float(np.median([math.inf if v is None else v for v in values]))
     return None if math.isinf(med) else med
 
 
@@ -531,7 +538,9 @@ def report(run_dir: str | os.PathLike) -> list:
 
     Writes learning_curves.csv (per-k median target loss and distance,
     aligned on step), summary_median.csv (median metrics per configuration),
-    and init_comparison.csv when both init modes are present.
+    and init_comparison.csv when both init modes are present.  A damaged
+    trace.csv, summary.json or config.json in a completed run is NoDataError
+    naming the file.
     """
     run_dir = Path(run_dir)
     runs = _discover_runs(run_dir)

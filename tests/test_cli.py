@@ -135,15 +135,49 @@ def test_gamma_grid_needs_the_isotropic_penalty(tmp_path, capsys, kind):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_sweep_with_every_run_failed(tmp_path, config_path, capsys):
+    # a successful sweep first: the failed one must not leave its best_config.txt
     out = tmp_path / "exp"
     grid = tmp_path / "grid.cfg"
+    grid.write_text("gamma=1\n")
+    assert main(["sweep", "--config", str(config_path), "--grid", str(grid)]) == 0
+    assert "best configuration" in capsys.readouterr().out
+    assert (out / "best_config.txt").exists()
     grid.write_text("gamma=5000\n")
     assert main(["sweep", "--config", str(config_path), "--grid", str(grid)]) == 0
-    assert "sweep finished: 0 successful runs" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "sweep finished: 0 successful runs" in printed
+    assert "best configuration" not in printed
     header, *rows = (out / "summaries.csv").read_text().splitlines()
     assert len(rows) == 2
     assert all(row.split(",")[4].startswith("failed:step") for row in rows)
     assert not (out / "best_config.txt").exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated header", "truncated data"])
+def test_unreadable_theta_star_is_a_config_error_in_finetune(tmp_path, config_path, capsys,
+                                                              damage):
+    theta_star = tmp_path / "exp" / "theta_star.bin"
+    assert main(["pretrain", "--config", str(config_path)]) == 0
+    if damage == "missing":
+        theta_star.unlink()
+    else:
+        data = theta_star.read_bytes()
+        theta_star.write_bytes(data[:4] if damage == "truncated header" else data[:-8])
+    assert main(["finetune", "--config", str(config_path), "--theta-star", str(theta_star)]) == 2
+    assert f"config error: cannot read theta_star file {theta_star}: " in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "runs").exists()
+
+
+def test_truncated_theta_star_is_a_config_error_in_sweep(tmp_path, config_path, capsys):
+    # the sweep reads output_dir/theta_star.bin rather than pretraining again
+    theta_star = tmp_path / "exp" / "theta_star.bin"
+    assert main(["pretrain", "--config", str(config_path)]) == 0
+    theta_star.write_bytes(theta_star.read_bytes()[:-8])
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds=0\n")
+    assert main(["sweep", "--config", str(config_path), "--grid", str(grid)]) == 2
+    assert f"config error: cannot read theta_star file {theta_star}: " in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "runs").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

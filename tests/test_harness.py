@@ -584,8 +584,9 @@ class TestReport:
 
 
 class TestReadTrace:
-    """Damaged and empty trace files.  A damaged trace sits in a completed run
-    (one with summary.json), so report reads it and must refuse it."""
+    """Damaged and empty trace files, and damaged summary.json and config.json
+    files.  A damaged file sits in a completed run (one with summary.json), so
+    report reads it and must refuse it, naming the file."""
 
     def _completed_run(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 5})
@@ -643,6 +644,18 @@ class TestReadTrace:
     def test_reordered_steps_are_no_data(self, tmp_path, capsys):
         out, path = self._completed_run(tmp_path)
         self._set_steps(path, ["1", "3", "2", "4", "5"])
+        self._assert_report_is_no_data(out, path, capsys)
+
+    @pytest.mark.parametrize("name, damage", [
+        ("summary.json", lambda text: text[:len(text) // 2]),
+        ("summary.json", lambda text: text.replace('"seed"', '"run_seed"')),
+        ("config.json", lambda text: text[:len(text) // 2]),
+        ("config.json", lambda text: "[]"),
+    ], ids=["summary-truncated", "summary-missing-field", "config-truncated", "config-list"])
+    def test_damaged_run_json_is_no_data(self, tmp_path, capsys, name, damage):
+        out, trace_path = self._completed_run(tmp_path)
+        path = trace_path.with_name(name)
+        path.write_text(damage(path.read_text()))
         self._assert_report_is_no_data(out, path, capsys)
 
     def test_trailing_blank_line_is_not_an_error(self, tmp_path):
