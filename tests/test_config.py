@@ -157,13 +157,13 @@ def test_with_values_equals_the_edited_text():
     ({"finetune.optimizer.kind": "sgd"}, "finetune.optimizer.kind: 'sgd' not in"),
     ({"shifting.k": float("inf")}, "shifting.k: 'inf' is not a finite number"),
     ({"penalty.gamma": -1.0}, "penalty.gamma must be >= 0"),
+    ({"shifting.t0": 2.5}, "shifting.t0: cannot parse '2.5' as int"),
+    ({"shifting.t0": -5}, "shifting: annealing midpoint t0 must be >= 0"),
+    ({"finetune.optimizer.alpha": 0.0}, "finetune.optimizer: alpha must be finite and > 0"),
     ({"finetune.optimizer.weight_decay": -0.1}, "finetune.optimizer.weight_decay must be >= 0"),
     ({"transfer.rho": 1.5}, "transfer.rho must lie in [0, 1]"),
     # two values out of range: the first in _KEYS order is reported
     ({"transfer.label_noise": 2.0, "transfer.n_samples": 0}, "transfer.n_samples must be >= 1"),
-    ({"shifting.t0": 2.5}, "shifting.t0: cannot parse '2.5' as int"),
-    ({"shifting.t0": -5}, "shifting: annealing midpoint t0 must be >= 0"),
-    ({"finetune.optimizer.alpha": 0.0}, "finetune.optimizer: alpha must be finite and > 0"),
 ])
 def test_with_values_checks_like_a_config_line(values, message):
     cfg = config_from_values(parse_flat_text(BASE))
