@@ -159,6 +159,8 @@ _STEPPERS = {
 }
 _SWEEP_CHUNK = 64  # most runs a sweep advances at once: bounds its open trace files
 _TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB, twice that as a run fails
+_REPORT_KEYS = dict.fromkeys(  # the config.json keys report reads, all strings
+    "finetune.optimizer.kind finetune.init shifting.k shifting.t0 penalty.gamma".split(), str)
 
 
 def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kind, adam_cfg,
@@ -511,15 +513,20 @@ def _discover_runs(run_dir: Path):
         summary_path = config_path.parent / "summary.json"
         if not (trace_path.exists() and summary_path.exists()):
             continue
-        runs.append({"flat": _read_json(config_path, dict), "trace": read_trace(trace_path),
-                     "summary": _read_json(summary_path, RunSummary)})
+        runs.append({"flat": _read_json(config_path, dict, _REPORT_KEYS),
+                     "trace": read_trace(trace_path),
+                     "summary": _read_json(summary_path, RunSummary, RunSummary.__annotations__)})
     return runs
 
 
-def _read_json(path: Path, build):
-    """build(**the JSON object in path); a damaged file is NoDataError naming it."""
+def _read_json(path: Path, build, types: dict):
+    """build(**the JSON object in path); a damaged or mistyped file is NoDataError naming it."""
     try:
-        return build(**json.loads(path.read_text()))
+        doc = json.loads(path.read_text())
+        wrong = [key for key, kind in types.items() if not isinstance(dict(doc).get(key), kind)]
+        if wrong:
+            raise TypeError(f"missing or mistyped {', '.join(wrong)}")
+        return build(**doc)
     except (ValueError, TypeError) as exc:
         raise NoDataError(f"malformed {path}: {exc}") from None
 

@@ -17,7 +17,8 @@ column; each row comes out bit-identical to its own one-run call.
 Two floating-point associations stay separate, since merging them changes
 the output bits: AdamW computes eta_t * (a + wd * theta), RecAdam eta_t * a
 + eta_t * pull.  With lambda_t == 1.0 (RecAdam, coupled) or weight_decay ==
-0.0 (AdamW) every variant reduces bitwise to ``adam_step``.
+0.0 (AdamW) every variant reduces bitwise to ``adam_step``.  The core keeps
+these operations and their order, writing in place only to arrays it made.
 """
 
 import math
@@ -105,22 +106,24 @@ def _adaptive_step(theta, state: AdamState, config: AdamConfig, grad,
         if penalty_grad is None:
             raise ValueError("penalty_grad is required for the recall variants")
         check_same_length(theta, penalty_grad)
-        # lambda is mathematically in (0, 1) but underflows to exact 0.0/1.0 in
-        # float64 for large |k (t - t0)|; both closures are admitted
-        # a scalar, or a column with one lambda per row of theta; NaN fails both tests
-        lambdas = np.asarray(lambda_t)
-        if not (0.0 <= lambdas.min() and lambdas.max() <= 1.0):
+        # a scalar, or a column with one lambda per row of theta, in (0, 1) but exact
+        # 0.0/1.0 in float64 for large |k (t - t0)|: both closures pass, NaN fails
+        if not all(0.0 <= lam <= 1.0 for lam in np.ravel(lambda_t).tolist()):
             raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
         ensure_finite(penalty_grad, "penalty gradient", step=t)
         if coupled:
-            grad = lambda_t * grad + (1 - lambda_t) * penalty_grad
+            grad = lambda_t * grad
+            grad += (1 - lambda_t) * penalty_grad
         else:
             scale = lambda_t * config.alpha
-    m = config.beta1 * state.m + (1 - config.beta1) * grad
-    v = config.beta2 * state.v + (1 - config.beta2) * (grad * grad)
-    mhat = m / (1 - config.beta1**t)
-    vhat = v / (1 - config.beta2**t)
-    return scale * mhat / (np.sqrt(vhat) + config.eps), AdamState(t, m, v)
+    m = config.beta1 * state.m
+    m += (1 - config.beta1) * grad
+    v = config.beta2 * state.v
+    v += (1 - config.beta2) * (grad * grad)
+    adaptive = m / (1 - config.beta1**t)
+    adaptive *= scale
+    adaptive /= np.sqrt(v / (1 - config.beta2**t)) + config.eps
+    return adaptive, AdamState(t, m, v)
 
 
 def adam_step(theta, state: AdamState, config: AdamConfig, eta_t: float, grad):
@@ -162,7 +165,8 @@ def recadam_step_parts(theta, state: AdamState, config: AdamConfig, eta_t: float
     adam_term    = eta_t * (lambda_t * alpha * m_hat / (sqrt(v_hat) + eps))
     penalty_term = eta_t * ((1 - lambda_t) * penalty_grad)
     """
-    adaptive, state = _adaptive_step(theta, state, config, grad, lambda_t, penalty_grad)
-    adam_term = eta_t * adaptive
-    penalty_term = eta_t * ((1 - lambda_t) * penalty_grad)
+    adam_term, state = _adaptive_step(theta, state, config, grad, lambda_t, penalty_grad)
+    adam_term *= eta_t
+    penalty_term = (1 - lambda_t) * penalty_grad
+    penalty_term *= eta_t
     return theta - (adam_term + penalty_term), state, adam_term, penalty_term

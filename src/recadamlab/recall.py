@@ -81,8 +81,9 @@ def _penalty_terms(pen: PenaltyModel, theta: np.ndarray, with_grad: bool = True,
             gamma = np.full(len(theta), pen.gamma)
         return 0.5 * gamma * sq_norm, gamma[:, None] * diff if with_grad else None, dist
     weighted = pen.fisher_diag * diff
-    return (0.5 * pen.n_obs * (weighted * diff).sum(axis=1),
-            pen.n_obs * weighted if with_grad else None, dist)
+    diff *= weighted
+    return (0.5 * pen.n_obs * diff.sum(axis=1),
+            np.multiply(weighted, pen.n_obs, out=weighted) if with_grad else None, dist)
 
 
 def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
@@ -111,8 +112,8 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
         raise DimensionError("theta_star length does not match task dim")
     indices = rng.child("fisher-samples").integers(0, n_rows, size=n_samples)
     grads = task.per_sample_loglik_grads(theta_star, indices)
-    fisher = np.mean(grads * grads, axis=0)
-    return fisher, n_rows
+    grads *= grads
+    return grads.mean(axis=0), n_rows
 
 
 def analytic_hessian_quadratic(task: Task) -> np.ndarray:

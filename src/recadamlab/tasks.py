@@ -33,7 +33,7 @@ def _as_batch(n_rows: int, batch) -> np.ndarray:
     idx = np.asarray(batch, dtype=np.intp).reshape(-1)
     if idx.size == 0:
         raise InvalidBatchError("empty batch")
-    if idx.min() < 0 or idx.max() >= n_rows:
+    if idx.view(np.uintp).max() >= n_rows:  # a negative index views as >= 2**63
         raise InvalidBatchError(f"batch indices outside [0, {n_rows})")
     return idx
 
@@ -133,13 +133,14 @@ class LinearRegressionTask(Task):
         idx = _as_batch(self.dataset_size(), batch)
         X, y = self.features[idx], self.targets[idx]
         resid = X @ theta - y
-        loss = 0.5 * float(np.mean(resid**2))
+        loss = 0.5 * float((resid * resid).sum() / idx.size)
         grad = X.T @ resid / idx.size
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self.features[indices], self.targets[indices]
-        return X * (y - X @ theta)[:, None]
+        X, y = self.features[indices].astype(np.float64, copy=False), self.targets[indices]
+        X *= (y - X @ theta)[:, None]
+        return X
 
 
 @dataclass
@@ -163,24 +164,21 @@ class LogisticRegressionTask(Task):
         X, y = self.features[idx], self.labels[idx]
         z = X @ theta
         # log(1 + exp(z)) - y z, computed without overflow
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        loss = float((np.logaddexp(0.0, z) - y * z).sum() / idx.size)
         p = _sigmoid(z)
         grad = X.T @ (p - y) / idx.size
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self.features[indices], self.labels[indices]
-        p = _sigmoid(X @ theta)
-        return X * (y - p)[:, None]
+        X, y = self.features[indices].astype(np.float64, copy=False), self.labels[indices]
+        X *= (y - _sigmoid(X @ theta))[:, None]
+        return X
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0, else exp(z) / (1 + exp(z)): no overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _mlp_dim(dim_in: int, hidden: int, classes: int) -> int:
@@ -232,10 +230,10 @@ class MlpTask(Task):
         idx = _as_batch(self.dataset_size(), batch)
         X, y = self.features[idx], self.labels[idx]
         W2, H, logits, lse, P = self._forward(theta, X)
-        n = idx.size
-        loss = float(np.mean(lse - logits[np.arange(n), y]))
+        n, rows = idx.size, np.arange(idx.size)
+        loss = float((lse - logits[rows, y]).sum() / n)
         dlogits = P.copy()
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits[rows, y] -= 1.0
         dlogits /= n
         dW2 = dlogits.T @ H
         db2 = dlogits.sum(axis=0)

@@ -658,6 +658,29 @@ class TestReadTrace:
         path.write_text(damage(path.read_text()))
         self._assert_report_is_no_data(out, path, capsys)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("config.json", "shifting.k", None),
+        ("config.json", "finetune.init", 3),
+        ("summary.json", "final_target_loss", "abc"),
+        ("summary.json", "steps_to_threshold", 2.5),
+        ("summary.json", "config_hash", None),
+    ], ids=["config-without-k", "config-numeric-init", "summary-text-loss",
+            "summary-float-steps", "summary-null-hash"])
+    def test_wrong_json_content_is_no_data(self, tmp_path, capsys, name, key, value):
+        # the file parses, but a key report reads is missing (None) or holds a
+        # value of the wrong type
+        out, trace_path = self._completed_run(tmp_path)
+        path = trace_path.with_name(name)
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NoDataError, match=re.escape(key)):
+            report(out)
+        self._assert_report_is_no_data(out, path, capsys)
+
     def test_trailing_blank_line_is_not_an_error(self, tmp_path):
         out, path = self._completed_run(tmp_path)
         intact = read_trace(path)

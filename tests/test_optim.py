@@ -275,6 +275,43 @@ class TestRecallVariants:
         assert err.value.step == 1
 
 
+class TestPurity:
+    """The steppers allocate what they return and write none of their
+    inputs, for one run (d,) and for a stack of runs (S, d): the inputs are
+    read-only, keep their values, and share no memory with the outputs."""
+
+    STEPPERS = {
+        "adam": lambda th, st, g, lam, pg: adam_step(th, st, DEFAULTS, 0.5, g),
+        "adamw": lambda th, st, g, lam, pg: adamw_step(th, st, DEFAULTS, 0.5, g, 0.01),
+        "recadam": lambda th, st, g, lam, pg: recadam_step(th, st, DEFAULTS, 0.5, g, lam, pg),
+        "recadam-coupled": lambda th, st, g, lam, pg: coupled_recadam_step(
+            th, st, DEFAULTS, 0.5, g, lam, pg),
+        "recadam-parts": lambda th, st, g, lam, pg: recadam_step_parts(
+            th, st, DEFAULTS, 0.5, g, lam, pg),
+    }
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("stepper", sorted(STEPPERS))
+    def test_stepper_writes_no_input(self, stepper, shape):
+        rng = np.random.default_rng(0)
+        theta, m, grad, pgrad = (rng.normal(size=shape) for _ in range(4))
+        v = rng.random(shape)
+        lam = 0.3 if len(shape) == 1 else np.array([[0.2], [0.5], [0.9]])
+        inputs = [theta, m, v, grad, pgrad] + ([] if len(shape) == 1 else [lam])
+        before = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        state = AdamState(4, m, v)
+        out = self.STEPPERS[stepper](theta, state, grad, lam, pgrad)
+        outputs = [out[0], out[1].m, out[1].v, *out[2:]]
+        assert state.t == 4 and state.m is m and state.v is v
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        for a in outputs:
+            assert a.shape == shape
+            assert not any(np.shares_memory(a, b) for b in inputs + outputs if b is not a)
+
+
 class TestSchedule:
     def test_constant(self):
         sched = ScheduleMultiplier("constant")

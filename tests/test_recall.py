@@ -3,9 +3,10 @@ import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.recall import (PenaltyModel, analytic_hessian_quadratic,
+from recadamlab.recall import (PenaltyModel, _penalty_terms, analytic_hessian_quadratic,
                                estimate_diag_fisher, penalty_grad, penalty_loss)
-from recadamlab.tasks import LinearRegressionTask, LogisticRegressionTask, gen_task
+from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
+                              gen_task)
 
 
 def fd_penalty_grad(pen, theta, h=1.0):
@@ -90,6 +91,17 @@ class TestFisherEstimation:
         assert np.array_equal(fisher, np.zeros(4))
         assert n_obs == 30
 
+    @pytest.mark.parametrize("cls", [LinearRegressionTask, LogisticRegressionTask])
+    def test_integer_features_give_the_float_estimate(self, cls):
+        # a task built by hand may hold integer features; the per-sample
+        # gradients are still float
+        features = np.arange(-20, 20).reshape(10, 4)
+        targets = (np.arange(10) % 2).astype(np.float64)
+        theta_star = np.array([0.1, -0.2, 0.3, 0.05])
+        estimates = [estimate_diag_fisher(cls(X, targets), theta_star, 32, RandomSource(0))
+                     for X in (features, features.astype(np.float64))]
+        assert estimates[0][0].tobytes() == estimates[1][0].tobytes()
+
     def test_gaussian_mean_model_recovers_unit_fisher(self):
         # x ~ Normal(theta*, 1) as a 1-feature regression on a constant input:
         # dlog p / dtheta = (x - theta*), so the Fisher tends to 1
@@ -163,6 +175,50 @@ class TestFisherEstimation:
         per_sample = task.per_sample_loglik_grads(theta, np.arange(50))
         _, batch_grad = task.loss_and_grad(theta, None)
         assert np.allclose(per_sample.mean(axis=0), -batch_grad, atol=1e-12)
+
+
+def read_only_copies(arrays):
+    """Copies of the arrays, which are made read-only, to compare them with later."""
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    return before
+
+
+class TestPurity:
+    """The penalty terms and the Fisher estimate allocate what they return
+    and write none of their inputs."""
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("kind", ["none", "isotropic", "diagonal-fisher"])
+    def test_penalty_terms_write_no_input(self, kind, rows):
+        rng = np.random.default_rng(0)
+        theta, theta_star, fisher = rng.normal(size=(rows, 5)), rng.normal(size=5), rng.random(5)
+        gamma = np.full(rows, 3.0)
+        pen = PenaltyModel(kind, theta_star, gamma=2.0, fisher_diag=fisher, n_obs=7)
+        inputs = [theta, theta_star, fisher, gamma]
+        before = read_only_copies(inputs)
+        outputs = [*_penalty_terms(pen, theta, True, gamma),
+                   *_penalty_terms(pen, theta, False)[::2]]
+        if rows == 1:
+            outputs.append(penalty_grad(pen, theta[0]))
+            assert penalty_loss(pen, theta[0]) == outputs[3][0]
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        for a in outputs:
+            assert not any(np.shares_memory(a, b) for b in inputs)
+
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
+    def test_fisher_estimate_writes_no_input(self, kind):
+        task = gen_task(kind, 0 if kind == "mlp-1h" else 6, RandomSource(3), dim_in=3,
+                        hidden=4, classes=3, n_samples=40)
+        theta_star = RandomSource(4).normal(task.dim)
+        inputs = [task.features, theta_star]
+        before = read_only_copies(inputs)
+        fisher, _ = estimate_diag_fisher(task, theta_star, 64, RandomSource(5))
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        assert fisher.shape == (task.dim,)
 
 
 class TestAnalyticHessian:

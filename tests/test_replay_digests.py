@@ -2,8 +2,11 @@
 
 Each case fine-tunes one optimizer kind under one penalty for at most 200
 steps and pins the sha256 of the ``trace.csv`` and ``summary.json`` it
-writes.  A refactor of the steppers, the penalty or the training loop must
-leave these bytes unchanged.  One more case pins the three files ``report``
+writes.  A refactor of the steppers, the penalty, the task gradients or
+the training loop must leave these bytes unchanged: it may drop temporaries
+but not reorder or fuse float operations.  The quadratic and logistic cases
+run every optimizer kind; the mlp-1h and linear-regression cases, pinned
+last, run two kinds each.  One more case pins the three files ``report``
 writes for a directory of five runs, so a change to how traces are read or
 aggregated must leave those bytes unchanged too, and one pins the
 ``summaries.csv`` and ``best_config.txt`` a small sweep writes, failed rows
@@ -197,3 +200,61 @@ def test_sweep_writes_pinned_bytes(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in SWEEP_DIGESTS}
     assert digests == SWEEP_DIGESTS
+
+
+TASK_CFG = """
+transfer.rho=0.7
+transfer.n_samples=256
+pretrain.steps=150
+pretrain.batch_size=32
+pretrain.optimizer.alpha=0.05
+finetune.steps=120
+finetune.batch_size=32
+finetune.optimizer.kind={kind}
+finetune.optimizer.alpha=0.01
+finetune.optimizer.weight_decay={weight_decay}
+shifting.k=0.1
+shifting.t0=60
+penalty.kind=diagonal-fisher
+penalty.fisher_samples=256
+output_dir={out}
+"""
+
+# the two dataset kinds the cases above leave out: their batch gradients
+# and, through the diagonal-Fisher penalty, their per-sample gradients
+TASK_CFGS = {
+    "mlp-1h": """
+transfer.kind=mlp-1h
+transfer.dim_in=6
+transfer.hidden=8
+transfer.classes=3
+transfer.label_noise=0.1
+transfer.seed=7
+finetune.init=pretrained""" + TASK_CFG,
+    "linear-regression": """
+transfer.kind=linear-regression
+transfer.dim=10
+transfer.seed=8
+finetune.init=random""" + TASK_CFG,
+}
+
+# (task kind, optimizer kind) -> (sha256 of trace.csv, sha256 of summary.json)
+TASK_DIGESTS = {
+    ("linear-regression", "adam"): (
+        "50c409ad2e62ff025f3e95f6a79617fc97345eb878da134eb9f703a2245642e7",
+        "990f4f7e80b8dec3ffe797f7a687319fa4cd4605f5d4204437eb67d00c7bb6a0"),
+    ("linear-regression", "recadam-coupled"): (
+        "152d8c020a0b3ecb1a126390096c4911d28bc945292e7d8ce69b5bcb6cbb13bb",
+        "d0ab21d7eead19ee85823f2defe98a14cc378155a76276204266e425a8154a7e"),
+    ("mlp-1h", "adamw"): (
+        "6de5ea9316fc37af66217153d76c19954c0b8b2b17d5030094eb540442b0c76c",
+        "093011b089c09b89c66437ce8a6b44a0094011556e039c020a3925053437e38d"),
+    ("mlp-1h", "recadam-coupled"): (
+        "e9b3f1937576c0c2cd972c71c55d6d6cd4b3552b0c9f0eecaebadd239be870a6",
+        "3e8f8955f5e8b769716a81dbd73f720db89d5292f78004058b060daaf325fe44"),
+}
+
+
+@pytest.mark.parametrize("task, kind", sorted(TASK_DIGESTS))
+def test_dataset_task_run_replays_to_pinned_bytes(tmp_path, task, kind):
+    assert run_digests(TASK_CFGS[task], kind, tmp_path) == TASK_DIGESTS[(task, kind)]

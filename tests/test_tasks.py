@@ -1,14 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from recadamlab.errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.tasks import (LinearRegressionTask, QuadraticTask, batch_stream,
-                              finite_diff_grad, gen_task, gen_transfer_pair,
+from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, QuadraticTask, _sigmoid,
+                              batch_stream, finite_diff_grad, gen_task, gen_transfer_pair,
                               task_from_spec)
 
 
@@ -114,6 +115,31 @@ class TestBatches:
             task.loss_and_grad(np.zeros(4), np.array([25]))
         with pytest.raises(InvalidBatchError):
             batch_stream(10, 0, RandomSource(0))
+
+    @pytest.mark.parametrize("batch", [[-1], [0, -5]], ids=["minus-one", "minus-five"])
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
+    def test_negative_batch_index_rejected(self, kind, batch):
+        task = gen_task(kind, 0 if kind == "mlp-1h" else 4, RandomSource(2), dim_in=2,
+                        hidden=3, classes=2, n_samples=20)
+        with pytest.raises(InvalidBatchError):
+            task.loss_and_grad(np.zeros(task.dim), np.array(batch))
+
+
+def sigmoid_oracle(z: float) -> float:
+    """The two-branch logistic function on one Python float.  The exponential
+    is NumPy's: math.exp differs from it by one ulp at some arguments (at
+    -36.0 with NumPy 2.4 on x86-64), which is not what this compares."""
+    if z >= 0:
+        return 1.0 / (1.0 + float(np.exp(-z)))
+    e = float(np.exp(z))
+    return e / (1.0 + e)
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_form():
+    special = [s * v for v in (0.0, 1e-300, 36.0, 710.0, math.inf) for s in (1.0, -1.0)]
+    z = np.concatenate([special, np.random.default_rng(0).normal(size=2000) * 40])
+    expected = np.array([sigmoid_oracle(v) for v in z.tolist()])
+    assert _sigmoid(z).tobytes() == expected.tobytes()
 
 
 class TestMlp:
