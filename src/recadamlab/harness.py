@@ -1,4 +1,4 @@
-"""Experiment orchestration: pretrain, finetune, sweeps, and reports.
+r"""Experiment orchestration: pretrain, finetune, sweeps, and reports.
 
 Each fine-tuning step logs one trace row describing the state the step
 consumed: step index t, lambda(t), batch target loss and penalty value at
@@ -6,7 +6,9 @@ theta_{t-1}, their lambda-mixture, distance to the pretrained anchor,
 gradient norm, and eta_t.  In memory a trace is one (n_steps, 8) float64
 array; on disk it is CSV with 17-significant-digit floats, written row by
 row, so an aborted run leaves a usable partial trace (a step that fails its
-finiteness checks writes no row).  RunSummary.final_target_loss is
+finiteness checks writes no row).  Its lines end with "\n"; the report
+CSVs end theirs with "\r\n", as the csv module writes them, and their
+curve cells are %.17g floats too.  RunSummary.final_target_loss is
 evaluated on the full dataset at the final parameters; best/steps-to-
 threshold come from the per-step batch losses in the trace.
 
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _KEYS, ExperimentConfig
 from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
@@ -513,8 +515,8 @@ def _discover_runs(run_dir: Path):
         summary_path = config_path.parent / "summary.json"
         if not (trace_path.exists() and summary_path.exists()):
             continue
-        runs.append({"flat": _read_json(config_path, dict, _REPORT_KEYS),
-                     "trace": read_trace(trace_path),
+        flat, k = _read_json(config_path, _report_config, _REPORT_KEYS)
+        runs.append({"flat": flat, "k": k, "trace": read_trace(trace_path),
                      "summary": _read_json(summary_path, RunSummary, RunSummary.__annotations__)})
     return runs
 
@@ -529,6 +531,12 @@ def _read_json(path: Path, build, types: dict):
         return build(**doc)
     except (ValueError, TypeError) as exc:
         raise NoDataError(f"malformed {path}: {exc}") from None
+
+
+def _report_config(**flat):
+    """A config.json's keys and its shifting.k, parsed by the config file's
+    rule: a k that is not a finite number is ConfigError, a ValueError."""
+    return flat, _KEYS["shifting.k"].parse("shifting.k", flat["shifting.k"])
 
 
 def _median_of(runs, name: str) -> str:
@@ -555,15 +563,19 @@ def report(run_dir: str | os.PathLike) -> list:
         raise NoDataError(f"no completed runs (config, trace and summary) under {run_dir}")
     # (a) per-k learning curves: one median over the stacked runs per k for all
     # steps at once, equal per step to that step's own median (odd or even count)
-    by_k = _group(runs, lambda run: float(run["flat"]["shifting.k"]))
+    by_k = _group(runs, lambda run: run["k"])
     ks = sorted(by_k)
     n_steps = min(len(run["trace"]) for run in runs)
     curves = np.hstack([np.median(np.stack([run["trace"].data[:n_steps, [_LOSS, _DIST]]
                                             for run in by_k[k]]), axis=0) for k in ks])
-    written = [_write_table(
-        run_dir / "learning_curves.csv",
-        ["step"] + [f"{name}_k={k:g}" for k in ks for name in ("target_loss", "dist")],
-        ([str(step), *map(_fmt, values)] for step, values in enumerate(curves.tolist(), start=1)))]
+    # csv.writer's bytes at one % a row: int steps, %.17g cells and {k:g}
+    # headers hold no comma or quote, so no cell needs quoting
+    header = ["step"] + [f"{name}_k={k:g}" for k in ks for name in ("target_loss", "dist")]
+    row = "%d" + ",%.17g" * curves.shape[1] + "\r\n"
+    written = [run_dir / "learning_curves.csv"]
+    with open(written[0], "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % (step, *values) for step, values in enumerate(curves.tolist(), 1))
 
     # (b) median-over-seeds summary per configuration
     rows = []

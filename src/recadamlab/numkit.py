@@ -7,6 +7,7 @@ the parent seed and a label only (never from stream position), which
 makes any generated object replayable from its recorded seed.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -46,7 +47,12 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.Philox(self.seed))
+
+    @functools.cached_property
+    def _gen(self):
+        """Built on the first draw, so a source that only derives children
+        skips it (unannotated: naming np.random here would import it early)."""
+        return np.random.Generator(np.random.Philox(self.seed))
 
     def child(self, label: str) -> "RandomSource":
         return RandomSource(_child_seed(self.seed, label))

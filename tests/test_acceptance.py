@@ -307,6 +307,7 @@ def test_criterion_6_pretraining_simulation_exactness():
           f"isotropic exactly; Gaussian-mean Fisher estimate {estimate[0]:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_forgetting_direction(mlp78):
     meds = {k: float(np.median([s.final_dist_to_pretrained for s in runs]))
             for k, runs in mlp78["runs"].items()}
@@ -317,6 +318,7 @@ def test_criterion_7_forgetting_direction(mlp78):
           f"({mlp78['elapsed']:.1f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence_speed_direction(mlp78):
     meds = {}
     for k, runs in mlp78["runs"].items():
@@ -329,6 +331,7 @@ def test_criterion_8_convergence_speed_direction(mlp78):
           f"{meds[0.05]:.0f} >= {meds[0.2]:.0f} >= {meds[1.0]:.0f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_init_strategy_direction(mlp9):
     van = float(np.median(mlp9["vanilla"]))
     ri = float(np.median(mlp9["recadam_ri"]))

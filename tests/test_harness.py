@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -582,6 +583,62 @@ class TestReport:
         with pytest.raises(NoDataError):
             report(tmp_path)
 
+    @staticmethod
+    def _csv_module_curves(out):
+        """learning_curves.csv as csv.writer writes it: str(step), then the
+        _fmt cell of each step's median target loss and distance per k."""
+        by_k = {}
+        for config_path in sorted(out.rglob("config.json")):
+            if config_path.with_name("summary.json").exists():
+                k = float(json.loads(config_path.read_text())["shifting.k"])
+                by_k.setdefault(k, []).append(read_trace(config_path.with_name("trace.csv")))
+        ks = sorted(by_k)
+        n_steps = min(len(trace) for traces in by_k.values() for trace in traces)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["step"] + [f"{name}_k={k:g}" for k in ks
+                                    for name in ("target_loss", "dist")])
+        for t in range(n_steps):
+            writer.writerow([str(t + 1)] + [
+                harness._fmt(float(np.median([trace.column(name)[t] for trace in by_k[k]])))
+                for k in ks for name in ("target_loss", "dist_to_pretrained")])
+        return buf.getvalue().encode()
+
+    def test_learning_curves_are_the_csv_module_bytes(self, tmp_path):
+        # three k values with 4, 3 and 2 completed runs: even and odd medians
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 40})
+        sweep(cfg, {"k": (0.05, 0.2, 1.0), "t0": (20,), "gamma": (1.0,),
+                    "seeds": (0, 1, 2, 3)})
+        runs = Path(cfg.output_dir) / "runs"
+        for run_id in ("k0.2-t20-g1-s3", "k1-t20-g1-s2", "k1-t20-g1-s3"):
+            (runs / run_id / "summary.json").unlink()
+        report(runs)
+        expected = self._csv_module_curves(runs)
+        assert expected.count(b"\r\n") == 41
+        assert (runs / "learning_curves.csv").read_bytes() == expected
+
+    def test_edge_float_curves_are_the_csv_module_bytes(self, tmp_path):
+        # two runs whose traces hold edge values, so each median is the value
+        # itself (np.median turns -0.0 into 0.0, so -0.0 is checked below)
+        edges = [0.0, -0.0, 5e-324, 1e16, 1e17, float("nan"), float("inf"), float("-inf")]
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": len(edges)})
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        out = Path(cfg.output_dir)
+        for seed in (0, 1):
+            run_dir = out / "runs" / f"r{seed}"
+            trace, _ = finetune(cfg, theta_star, seed, run_dir=run_dir)
+            data = trace.data.copy()
+            data[:, TRACE_COLUMNS.index("target_loss")] = edges
+            data[:, TRACE_COLUMNS.index("dist_to_pretrained")] = edges[::-1]
+            (run_dir / "trace.csv").write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(
+                harness._ROW_FORMAT % tuple(row) for row in data.tolist()))
+        report(out)
+        assert (out / "learning_curves.csv").read_bytes() == self._csv_module_curves(out)
+        # the row format report writes, against csv.writer on every edge value
+        buf = io.StringIO()
+        csv.writer(buf).writerow([str(3), *map(harness._fmt, edges)])
+        assert ("%d" + ",%.17g" * len(edges) + "\r\n") % (3, *edges) == buf.getvalue()
+
 
 class TestReadTrace:
     """Damaged and empty trace files, and damaged summary.json and config.json
@@ -664,11 +721,13 @@ class TestReadTrace:
         ("summary.json", "final_target_loss", "abc"),
         ("summary.json", "steps_to_threshold", 2.5),
         ("summary.json", "config_hash", None),
+        ("config.json", "shifting.k", "abc"),
+        ("config.json", "shifting.k", "nan"),
     ], ids=["config-without-k", "config-numeric-init", "summary-text-loss",
-            "summary-float-steps", "summary-null-hash"])
+            "summary-float-steps", "summary-null-hash", "config-text-k", "config-nan-k"])
     def test_wrong_json_content_is_no_data(self, tmp_path, capsys, name, key, value):
-        # the file parses, but a key report reads is missing (None) or holds a
-        # value of the wrong type
+        # the file parses, but a key report reads is missing (None), holds a
+        # value of the wrong type or, for shifting.k, not a finite number
         out, trace_path = self._completed_run(tmp_path)
         path = trace_path.with_name(name)
         doc = json.loads(path.read_text())

@@ -61,6 +61,20 @@ def test_random_source_children_are_labelled_and_stable():
     assert not np.array_equal(first, other)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3])
+def test_random_source_draws_are_philox_draws(seed):
+    source = RandomSource(seed)
+    source.child("batches")  # deriving a child must not build or move the stream
+    assert "_gen" not in vars(source)
+    gen = np.random.Generator(np.random.Philox(seed & (2**64 - 1)))
+    draws = [source.normal(50, scale=0.5), source.uniform(-1.0, 2.0, 30),
+             source.integers(0, 1000, 40), source.permutation(25), source.normal()]
+    expected = [0.5 * gen.standard_normal(50), gen.uniform(-1.0, 2.0, 30),
+                gen.integers(0, 1000, size=40), gen.permutation(25), gen.standard_normal()]
+    for got, want in zip(draws, expected):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_random_source_child_streams_look_independent():
     parent = RandomSource(5)
     a = parent.child("a").normal(20_000)
