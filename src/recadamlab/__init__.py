@@ -11,8 +11,7 @@ from .numkit import RandomSource, l2_distance
 from .optim import (AdamConfig, AdamState, ScheduleMultiplier, adam_step,
                     adamw_step, coupled_recadam_step, recadam_step,
                     recadam_step_parts, schedule_multiplier)
-from .recall import (PenaltyModel, analytic_hessian_quadratic, estimate_diag_fisher,
-                     penalty_grad, penalty_loss)
+from .recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
 from .shifting import AnnealSchedule, composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import (Task, TransferPair, batch_stream, finite_diff_grad, gen_task,

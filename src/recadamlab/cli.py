@@ -10,9 +10,10 @@ import sys
 from pathlib import Path
 
 from .config import load_config, load_grid
-from .errors import ConfigError, DimensionError, NoDataError, NumericError
-from .harness import finetune, pretrain, report, sweep
-from .storage import read_vector
+from .errors import ConfigError, NoDataError, NumericError
+from .harness import _read_theta_star, finetune, pretrain, report, sweep
+# perfbench/tracer.py wraps read_vector under this module's name, so it stays importable here
+from .storage import read_vector  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,10 +51,7 @@ def main(argv=None) -> int:
             print(f"wrote {Path(cfg.output_dir) / 'theta_star.bin'}")
         elif args.command == "finetune":
             cfg = load_config(args.config)
-            try:
-                theta_star = read_vector(args.theta_star)
-            except (OSError, DimensionError) as exc:
-                raise ConfigError(f"cannot read theta_star file {args.theta_star}: {exc}") from exc
+            theta_star = _read_theta_star(args.theta_star)
             seed = cfg.seeds[0] if args.seed is None else args.seed
             run_dir = Path(cfg.output_dir) / "runs" / f"{cfg.config_hash()}-s{seed}"
             trace, summary = finetune(cfg, theta_star, seed, run_dir=run_dir)

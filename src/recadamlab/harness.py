@@ -49,8 +49,6 @@ _ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # a trace.csv r
 _STEP, _LAMBDA, _LOSS, _PENALTY, _COMPOSITE, _DIST, _GRAD_NORM, _ETA = range(len(TRACE_COLUMNS))
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
-_REFERENCE_FACTOR = 1.10  # see reference_threshold
-_REFERENCE_STEPS_MULTIPLIER = 2
 
 
 def _fmt(x: float) -> str:
@@ -109,6 +107,14 @@ def read_trace(path: str | os.PathLike) -> TrainingTrace:
     if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise NoDataError(f"malformed trace {path}: steps are not 1, 2, ..., {len(data)}")
     return TrainingTrace(data)
+
+
+def _read_theta_star(path: str | os.PathLike) -> np.ndarray:
+    """A theta_star checkpoint; an unreadable or truncated one is a ConfigError."""
+    try:
+        return read_vector(path)
+    except (OSError, DimensionError) as exc:
+        raise ConfigError(f"cannot read theta_star file {path}: {exc}") from exc
 
 
 @dataclass
@@ -373,20 +379,6 @@ def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
     )
 
 
-def reference_threshold(cfg: ExperimentConfig, theta_star: np.ndarray) -> float:
-    """Default steps_to_threshold target: _REFERENCE_FACTOR x the best batch
-    loss of a vanilla-Adam run _REFERENCE_STEPS_MULTIPLIER times as long as
-    finetune.steps (pretrained init, constant schedule)."""
-    ref_cfg = cfg.with_values({
-        "finetune.steps": cfg.finetune.steps * _REFERENCE_STEPS_MULTIPLIER,
-        "finetune.optimizer.kind": "adam",
-        "finetune.init": "pretrained",
-        "finetune.schedule.kind": "constant",
-    })
-    trace, _ = finetune(ref_cfg, theta_star, cfg.seeds[0])
-    return _REFERENCE_FACTOR * float(trace.column("target_loss").min())
-
-
 SUMMARY_FIELDS = ("k", "t0", "gamma", "seed", "status", "final_target_loss",
                   "best_target_loss", "steps_to_threshold",
                   "final_dist_to_pretrained", "config_hash")
@@ -440,10 +432,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     pair = build_transfer_pair(cfg)
     theta_path = out / "theta_star.bin"
     if theta_path.exists():
-        try:
-            theta_star = read_vector(theta_path)
-        except (OSError, DimensionError) as exc:
-            raise ConfigError(f"cannot read theta_star file {theta_path}: {exc}") from exc
+        theta_star = _read_theta_star(theta_path)
     else:
         theta_star, _ = _pretrain(cfg, pair.source, True)
     pen = build_penalty(cfg, pair, theta_star)

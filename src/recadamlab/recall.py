@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, UnsupportedTaskError
 from .numkit import RandomSource, check_same_length
-from .tasks import QuadraticTask, Task
+from .tasks import Task
 
 PENALTY_KINDS = ("none", "isotropic", "diagonal-fisher")
 
@@ -115,9 +115,3 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
     grads *= grads
     return grads.mean(axis=0), n_rows
 
-
-def analytic_hessian_quadratic(task: Task) -> np.ndarray:
-    """Exact (d, d) Hessian of a quadratic task (the Laplace-exactness oracle)."""
-    if not isinstance(task, QuadraticTask):
-        raise UnsupportedTaskError("analytic Hessian is only available for quadratic tasks")
-    return task.curvature

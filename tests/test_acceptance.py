@@ -18,8 +18,7 @@ from recadamlab.numkit import RandomSource
 from recadamlab.optim import (AdamConfig, AdamState, adam_step, adamw_step,
                               coupled_recadam_step, recadam_step,
                               recadam_step_parts)
-from recadamlab.recall import (PenaltyModel, analytic_hessian_quadratic,
-                               estimate_diag_fisher, penalty_grad, penalty_loss)
+from recadamlab.recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
 from recadamlab.shifting import AnnealSchedule, lambda_at
 from recadamlab.tasks import LinearRegressionTask, finite_diff_grad, gen_task
 
@@ -282,7 +281,7 @@ def test_criterion_5_gradient_correctness():
 
 def test_criterion_6_pretraining_simulation_exactness():
     task = gen_task("quadratic", 9, RandomSource(600))
-    hess = analytic_hessian_quadratic(task)
+    hess = task.curvature  # the exact Hessian of a quadratic task
     rng = np.random.default_rng(6)
     for _ in range(30):
         theta = task.center + rng.normal(size=9)

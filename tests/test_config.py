@@ -187,6 +187,14 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+@pytest.mark.parametrize("reader", ["config", "grid"])
+def test_line_without_equals_sign_is_rejected(tmp_path, reader):
+    path = tmp_path / "lines.cfg"
+    path.write_text("# no separator below\nk 0.1\n")
+    with pytest.raises(ConfigError, match="2: expected key=value"):
+        (load_config if reader == "config" else load_grid)(path)
+
+
 def test_grid_file(tmp_path):
     path = tmp_path / "grid.cfg"
     path.write_text("k=0.05,0.1\n# comment\nt0=100,250\nseeds=0,1\n")

@@ -11,11 +11,10 @@ from recadamlab import harness
 from recadamlab.cli import main
 from recadamlab.config import config_from_values, parse_flat_text
 from recadamlab.errors import ConfigError, DimensionError, NoDataError, NumericError
-from recadamlab.harness import (TRACE_COLUMNS, TrainingTrace, build_transfer_pair,
-                                finetune, pretrain, read_trace, reference_threshold,
-                                report, sweep)
+from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair,
+                                finetune, pretrain, read_trace, report, sweep)
 from recadamlab.numkit import RandomSource
-from recadamlab.optim import AdamConfig
+from recadamlab.optim import STEPPER_KINDS, AdamConfig
 from recadamlab.recall import PenaltyModel
 from recadamlab.shifting import AnnealSchedule
 from recadamlab.storage import read_vector, write_vector
@@ -224,31 +223,10 @@ class TestFinetune:
         assert np.all(np.isfinite(trace.column("target_loss")))
         assert np.isfinite(summary.final_target_loss)
 
-
-class TestReferenceThreshold:
-    def test_uses_long_vanilla_run(self, tmp_path):
-        cfg = quad_cfg(tmp_path, **{"finetune.init": "pretrained"})
-        theta_star, _ = pretrain(cfg)
-        tau = reference_threshold(cfg, theta_star)
-        ref_cfg = cfg.with_values({"finetune.steps": 600, "finetune.optimizer.kind": "adam",
-                                   "finetune.init": "pretrained"})
-        trace, _ = finetune(ref_cfg, theta_star, cfg.seeds[0])
-        assert tau == pytest.approx(1.10 * trace.column("target_loss").min(), rel=1e-12)
-
-    def test_reference_config_hash_is_pinned(self, monkeypatch):
-        # the hash the earlier nested dataclasses.replace gave the same config
-        from test_acceptance import MLP9_CFG
-        cfg = config_from_values(parse_flat_text(
-            MLP9_CFG.format(kind="recadam", init="random", out="out")))
-        seen = []
-
-        def fake_finetune(ref_cfg, theta_star, seed):
-            seen.append(ref_cfg)
-            return TrainingTrace([(1, 1.0, 2.0, 0.0, 2.0, 0.0, 1.0, 1.0)]), None
-
-        monkeypatch.setattr(harness, "finetune", fake_finetune)
-        assert reference_threshold(cfg, None) == pytest.approx(2.2)
-        assert seen[0].config_hash() == "b06473fd87c1"
+    def test_stepper_table_holds_every_optimizer_kind(self):
+        # the config accepts every STEPPER_KINDS value; one missing here would
+        # end a run with a KeyError traceback instead of a config error
+        assert set(harness._STEPPERS) == set(STEPPER_KINDS)
 
 
 class TestSweep:

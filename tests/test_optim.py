@@ -344,6 +344,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             ScheduleMultiplier("cosine")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: AdamState(t=-1, m=np.zeros(2), v=np.zeros(2)), "step counter"),
+        (lambda: ScheduleMultiplier("linear-warmup-constant", warmup_steps=-1),
+         "warmup_steps"),
+    ], ids=["negative-step-counter", "negative-warmup"])
+    def test_negative_counts_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestAdamConfig:
     def test_defaults_match_contract(self):

@@ -6,7 +6,8 @@
 one of those names has gone; a traced run must count each optimizer step
 once, under the span of the run's own stepper, and each task gradient once,
 on every task kind; a traced report must count one trace read per run and
-the rows it read.
+the rows it read; a traced ``finetune`` or ``sweep`` command must count one
+checkpoint read.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from recadamlab import harness
+from recadamlab.cli import main
 from recadamlab.config import config_from_values, parse_flat_text
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -110,3 +112,20 @@ def test_traced_diagonal_fisher_counts_one_per_sample_gradient_call(tmp_path):
         harness.finetune(cfg, theta_star, seed=0)
     assert tracer.calls["recall.estimate_diag_fisher"] == 1
     assert tracer.calls["tasks.per_sample_loglik_grads"] == 1
+
+
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_traced_cli_counts_one_theta_star_read(tmp_path, command):
+    # storage.read_vector is wrapped on both cli and harness: the one
+    # checkpoint read of either command must count once, not zero or twice
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(CFG.format(kind="recadam", out=tmp_path / "exp"))
+    harness.pretrain(config_from_values(parse_flat_text(config_path.read_text())))
+    theta_path = tmp_path / "exp" / "theta_star.bin"
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("seeds=0,1\n")
+    argv = {"finetune": ["--theta-star", str(theta_path)], "sweep": ["--grid", str(grid)]}
+    with load_tracer().Tracer().installed() as tracer:
+        assert main([command, "--config", str(config_path)] + argv[command]) == 0
+    assert tracer.calls[f"harness.{command}"] == 1
+    assert tracer.calls["storage.read_vector"] == 1

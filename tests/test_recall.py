@@ -3,8 +3,8 @@ import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.recall import (PenaltyModel, _penalty_terms, analytic_hessian_quadratic,
-                               estimate_diag_fisher, penalty_grad, penalty_loss)
+from recadamlab.recall import (PenaltyModel, _penalty_terms, estimate_diag_fisher,
+                               penalty_grad, penalty_loss)
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               gen_task)
 
@@ -81,6 +81,25 @@ class TestPenalty:
     def test_nonfinite_fisher_diag_rejected(self, bad):
         with pytest.raises(ValueError):
             PenaltyModel.diagonal_fisher(np.zeros(2), np.array([1.0, bad]), 3)
+
+
+def _logistic_task():
+    return LogisticRegressionTask(np.ones((4, 3)), np.array([0, 1, 0, 1]))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PenaltyModel("ridge", np.zeros(2)), ValueError, "unknown penalty kind"),
+    (lambda: PenaltyModel("diagonal-fisher", np.zeros(2)), ValueError, "needs fisher_diag"),
+    (lambda: PenaltyModel.diagonal_fisher(np.zeros(2), np.ones(2), 0), ValueError, "n_obs"),
+    (lambda: estimate_diag_fisher(_logistic_task(), np.zeros(3), 0, RandomSource(0)),
+     ValueError, "n_samples"),
+    (lambda: estimate_diag_fisher(_logistic_task(), np.zeros(4), 8, RandomSource(0)),
+     DimensionError, "theta_star length"),
+], ids=["unknown-kind", "fisher-without-diag", "zero-n-obs", "zero-fisher-samples",
+        "fisher-theta-star-length"])
+def test_refused_inputs(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestFisherEstimation:
@@ -225,24 +244,20 @@ class TestAnalyticHessian:
     def test_identity_curvature(self):
         from recadamlab.tasks import QuadraticTask
         task = QuadraticTask(np.eye(3), np.zeros(3))
-        hess = analytic_hessian_quadratic(task)
-        assert np.array_equal(hess, np.eye(3))
+        # the gradient is linear, so its differences are the Hessian's columns
+        grad0 = task.loss_and_grad(np.zeros(3))[1]
+        hess = np.column_stack([task.loss_and_grad(e)[1] - grad0 for e in np.eye(3)])
+        assert np.array_equal(hess, task.curvature)
 
     def test_laplace_expansion_reproduces_loss_exactly(self):
         task = gen_task("quadratic", 10, RandomSource(17))
-        hess = analytic_hessian_quadratic(task)
+        hess = task.curvature  # the exact Hessian of a quadratic task
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta = task.center + rng.normal(size=10)
             expansion = 0.5 * (theta - task.center) @ hess @ (theta - task.center)
             loss, _ = task.loss_and_grad(theta)
             assert abs(expansion - loss) <= 1e-12 * max(1.0, abs(loss))
-
-    def test_non_quadratic_rejected(self):
-        task = gen_task("mlp-1h", 0, RandomSource(0), dim_in=2, hidden=2, classes=2,
-                        n_samples=10)
-        with pytest.raises(UnsupportedTaskError):
-            analytic_hessian_quadratic(task)
 
 
 class TestIsotropicFit:
@@ -255,7 +270,7 @@ class TestIsotropicFit:
         A = 3.0 * np.eye(dim) + (perturb + perturb.T) / 2
         from recadamlab.tasks import QuadraticTask
         task = QuadraticTask(A, np.zeros(dim))
-        gamma = np.mean(np.diag(analytic_hessian_quadratic(task)))  # least-squares scalar fit
+        gamma = np.mean(np.diag(task.curvature))  # least-squares scalar fit
         iso_err, diag_err, truths = [], [], []
         for _ in range(200):
             delta = rng.normal(size=dim)

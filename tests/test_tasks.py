@@ -8,9 +8,9 @@ import pytest
 
 from recadamlab.errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, QuadraticTask, _sigmoid,
-                              batch_stream, finite_diff_grad, gen_task, gen_transfer_pair,
-                              task_from_spec)
+from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
+                              MlpTask, QuadraticTask, TransferPair, _sigmoid, batch_stream,
+                              finite_diff_grad, gen_task, gen_transfer_pair, task_from_spec)
 
 
 def rel_err(approx, exact):
@@ -427,3 +427,44 @@ class TestSizeChecks:
     def test_unknown_keyword_is_an_error(self):
         with pytest.raises(TypeError, match="n_sample"):
             gen_task("linear-regression", 4, RandomSource(0), n_sample=10)
+
+
+# hand-built tasks, one per constructor check and per theta length check
+REFUSED = {
+    "non-square-curvature": (
+        lambda: QuadraticTask(np.eye(3)[:2], np.zeros(3)), DimensionError, "dim x dim"),
+    "non-positive-curvature-diagonal": (
+        lambda: QuadraticTask(np.diag([1.0, 0.0]), np.zeros(2)), ValueError, "positive"),
+    "linear-targets-rows": (
+        lambda: LinearRegressionTask(np.zeros((4, 2)), np.zeros(5)), DimensionError,
+        "one row per feature row"),
+    "logistic-labels-rows": (
+        lambda: LogisticRegressionTask(np.zeros((4, 2)), np.zeros(3, dtype=int)),
+        DimensionError, "one row per feature row"),
+    "mlp-labels-rows": (
+        lambda: MlpTask(2, 2, 2, np.zeros((4, 2)), np.zeros(5, dtype=int)), DimensionError,
+        "one row per feature row"),
+    "mlp-feature-width": (
+        lambda: MlpTask(3, 2, 2, np.zeros((4, 2)), np.zeros(4, dtype=int)), DimensionError,
+        "feature width"),
+    "linear-theta-length": (
+        lambda: LinearRegressionTask(np.zeros((4, 2)), np.zeros(4)).loss_and_grad(
+            np.zeros(3)), DimensionError, "theta length 3"),
+    "logistic-theta-length": (
+        lambda: LogisticRegressionTask(np.zeros((4, 2)), np.zeros(4, dtype=int)).loss_and_grad(
+            np.zeros(3)), DimensionError, "theta length 3"),
+    "mlp-theta-length": (
+        lambda: MlpTask(2, 2, 2, np.zeros((4, 2)), np.zeros(4, dtype=int)).loss_and_grad(
+            np.zeros(3)), DimensionError, "theta length 3"),
+    "transfer-pair-dims": (
+        lambda: TransferPair(QuadraticTask(np.eye(2), np.zeros(2)),
+                             QuadraticTask(np.eye(3), np.zeros(3))), DimensionError,
+        "dimensions must match"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_inputs(case):
+    build, error, message = REFUSED[case]
+    with pytest.raises(error, match=message):
+        build()
