@@ -201,7 +201,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     streams = [batch_stream(size, batch_size, rng) if size > 0 else None for rng in batch_rngs]
     writers = [None] * len(theta)
     # a task without a dataset takes a stack in one call; a lone run takes
-    # the one-row call and checks its loss as a float, which costs less a step
+    # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
     grad = np.empty_like(theta)
     results = [None] * len(theta)
@@ -212,37 +212,35 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
             row = data[:, t - 1]
             if stacked:
                 row[:, _LOSS], grad = task.loss_and_grad(theta)
-                losses_finite = math.isfinite(row[:, _LOSS].sum())
             else:
-                losses_finite = True
                 for i, stream in enumerate(streams):
-                    loss, grad[i] = task.loss_and_grad(
+                    row[i, _LOSS], grad[i] = task.loss_and_grad(
                         theta[i], None if stream is None else next(stream))
-                    row[i, _LOSS] = loss
-                    losses_finite = losses_finite and math.isfinite(loss)
             pval, pgrad, dist = _penalty_terms(pen, theta, recall, gammas)
             row[:, _PENALTY] = pval
             row[:, _DIST] = dist
             np.sqrt((grad * grad).sum(axis=1), out=row[:, _GRAD_NORM])
-            try:
-                if not losses_finite:
-                    raise NumericError("non-finite loss")
-                # the stepper checks the gradients
-                theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
-                                    row[:, _LAMBDA:_LAMBDA + 1], pgrad)
-            except NumericError:
-                keep = _retire(t, row, grad, pgrad, runs, results, writers)
-                runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
-                                          for per_run in (runs, streams, writers))
-                if not runs:
+            while runs:  # a failing step retires its failing rows and goes again with the rest
+                try:
+                    if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
+                        raise NumericError("non-finite loss")
+                    # the stepper checks the gradients
+                    theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
+                                        row[:, _LAMBDA:_LAMBDA + 1], pgrad)
                     break
-                theta, grad, data, gammas, m, v = (
-                    array[keep] for array in (theta, grad, data, gammas, state.m, state.v))
-                state = AdamState(state.t, m, v)
-                pgrad = None if pgrad is None else pgrad[keep]
-                row = data[:, t - 1]
-                theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
-                                    row[:, _LAMBDA:_LAMBDA + 1], pgrad)
+                except NumericError:
+                    keep = _retire(t, row, grad, pgrad, runs, results, writers)
+                    if keep.all():  # a failure _retire cannot place: going again would loop
+                        raise
+                    runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
+                                              for per_run in (runs, streams, writers))
+                    theta, grad, data, gammas, m, v = (
+                        array[keep] for array in (theta, grad, data, gammas, state.m, state.v))
+                    state = AdamState(state.t, m, v)
+                    pgrad = None if pgrad is None else pgrad[keep]
+                    row = data[:, t - 1]
+            if not runs:
+                break
             for i, values in enumerate(row.tolist()):
                 row[i, _COMPOSITE] = values[_COMPOSITE] = composite_loss(
                     values[_LAMBDA], values[_LOSS], values[_PENALTY])

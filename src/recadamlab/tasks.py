@@ -27,21 +27,10 @@ from .errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from .numkit import RandomSource, check_same_length
 
 
-def _as_batch(n_rows: int, batch) -> np.ndarray:
-    if batch is None:
-        return np.arange(n_rows)
-    idx = np.asarray(batch, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise InvalidBatchError("empty batch")
-    if idx.view(np.uintp).max() >= n_rows:  # a negative index views as >= 2**63
-        raise InvalidBatchError(f"batch indices outside [0, {n_rows})")
-    return idx
-
-
 def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np.ndarray]:
     """Yield without-replacement batches, one fresh shuffle per epoch."""
-    if batch_size < 1:
-        raise InvalidBatchError("batch_size must be >= 1")
+    if n_rows < 1 or batch_size < 1:
+        raise InvalidBatchError(f"n_rows and batch_size must be >= 1, got {n_rows}, {batch_size}")
 
     def generate(size):
         while True:
@@ -54,9 +43,9 @@ def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np
 
 class Task:
     """Common surface shared by all task kinds; a kind with a dataset holds
-    it as ``features``, one row per sample.  A kind without a dataset
-    (dataset_size() == 0) also takes a stack of parameter rows in
-    ``loss_and_grad``."""
+    it as ``features``, one row per sample, and reads every batch of it
+    through ``_batch``.  A kind without a dataset (dataset_size() == 0) also
+    takes a stack of parameter rows in ``loss_and_grad``."""
 
     kind: str
     dim: int
@@ -66,6 +55,27 @@ class Task:
 
     def dataset_size(self) -> int:
         return self.features.shape[0]
+
+    def _check_dataset(self, labels: np.ndarray, name: str) -> int:
+        """The feature width, once features is 2-D with one of labels per row."""
+        if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
+            raise DimensionError(f"{name} must have one row per feature row of 2-D features")
+        return self.features.shape[1]
+
+    def _batch(self, theta: np.ndarray, batch, labels: np.ndarray):
+        """The feature rows and labels of a batch (None: every row), once theta
+        has the task's length and the batch holds integer indices of rows."""
+        if theta.size != self.dim:
+            raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
+        idx = np.arange(labels.size) if batch is None else np.asarray(batch).reshape(-1)
+        if idx.size == 0:  # checked first: an empty list reads as float64
+            raise InvalidBatchError("empty batch")
+        if idx.dtype.kind not in "iu":
+            raise InvalidBatchError(f"batch indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
+        if idx.view(np.uintp).max() >= labels.size:  # a negative index views as >= 2**63
+            raise InvalidBatchError(f"batch indices outside [0, {labels.size})")
+        return self.features[idx], labels[idx]
 
     def per_sample_loglik_grads(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise UnsupportedTaskError(f"{self.kind} has no per-sample log-likelihood")
@@ -123,18 +133,13 @@ class LinearRegressionTask(Task):
     kind: str = field(default="linear-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self.features.shape[1]
-        if self.targets.shape != (self.features.shape[0],):
-            raise DimensionError("targets must have one row per feature row")
+        self.dim = self._check_dataset(self.targets, "targets")
 
     def loss_and_grad(self, theta, batch=None):
-        if theta.size != self.dim:
-            raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
-        idx = _as_batch(self.dataset_size(), batch)
-        X, y = self.features[idx], self.targets[idx]
+        X, y = self._batch(theta, batch, self.targets)
         resid = X @ theta - y
-        loss = 0.5 * float((resid * resid).sum() / idx.size)
-        grad = X.T @ resid / idx.size
+        loss = 0.5 * float((resid * resid).sum() / y.size)
+        grad = X.T @ resid / y.size
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
@@ -153,20 +158,15 @@ class LogisticRegressionTask(Task):
     kind: str = field(default="logistic-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self.features.shape[1]
-        if self.labels.shape != (self.features.shape[0],):
-            raise DimensionError("labels must have one row per feature row")
+        self.dim = self._check_dataset(self.labels, "labels")
 
     def loss_and_grad(self, theta, batch=None):
-        if theta.size != self.dim:
-            raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
-        idx = _as_batch(self.dataset_size(), batch)
-        X, y = self.features[idx], self.labels[idx]
+        X, y = self._batch(theta, batch, self.labels)
         z = X @ theta
         # log(1 + exp(z)) - y z, computed without overflow
-        loss = float((np.logaddexp(0.0, z) - y * z).sum() / idx.size)
+        loss = float((np.logaddexp(0.0, z) - y * z).sum() / y.size)
         p = _sigmoid(z)
-        grad = X.T @ (p - y) / idx.size
+        grad = X.T @ (p - y) / y.size
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
@@ -203,14 +203,15 @@ class MlpTask(Task):
 
     def __post_init__(self):
         self.dim = _mlp_dim(self.dim_in, self.hidden, self.classes)
-        if self.features.shape[1] != self.dim_in:
+        if self._check_dataset(self.labels, "labels") != self.dim_in:
             raise DimensionError("feature width must equal dim_in")
-        if self.labels.shape != (self.features.shape[0],):
-            raise DimensionError("labels must have one row per feature row")
+        if self.labels.dtype.kind not in "iu" or not np.isin(
+                self.labels, range(self.classes)).all():
+            raise ValueError(f"labels must be integers in [0, {self.classes})")
 
-    def _forward(self, theta, X):
-        """Unpack theta once and run X through the network: (W2, hidden
-        activations, logits, log-sum-exp, softmax)."""
+    def _forward(self, theta, X, y):
+        """Unpack theta once and run the batch (X, y) through the network: (W2,
+        hidden activations, per-sample cross entropy, per-sample dCE/dlogits)."""
         h, din, C = self.hidden, self.dim_in, self.classes
         i = 0
         W1 = theta[i:i + h * din].reshape(h, din); i += h * din
@@ -221,19 +222,18 @@ class MlpTask(Task):
         logits = H @ W2.T + b2
         mx = logits.max(axis=1, keepdims=True)
         lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-        P = np.exp(logits - lse[:, None])
-        return W2, H, logits, lse, P
+        rows = np.arange(y.size)
+        ce = lse - logits[rows, y]
+        logits -= lse[:, None]
+        dlogits = np.exp(logits, out=logits)  # the softmax, then minus the one-hot labels
+        dlogits[rows, y] -= 1.0
+        return W2, H, ce, dlogits
 
     def loss_and_grad(self, theta, batch=None):
-        if theta.size != self.dim:
-            raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
-        idx = _as_batch(self.dataset_size(), batch)
-        X, y = self.features[idx], self.labels[idx]
-        W2, H, logits, lse, P = self._forward(theta, X)
-        n, rows = idx.size, np.arange(idx.size)
-        loss = float((lse - logits[rows, y]).sum() / n)
-        dlogits = P.copy()
-        dlogits[rows, y] -= 1.0
+        X, y = self._batch(theta, batch, self.labels)
+        W2, H, ce, dlogits = self._forward(theta, X, y)
+        n = y.size
+        loss = float(ce.sum() / n)
         dlogits /= n
         dW2 = dlogits.T @ H
         db2 = dlogits.sum(axis=0)
@@ -244,20 +244,15 @@ class MlpTask(Task):
         return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self.features[indices], self.labels[indices]
-        W2, H, logits, lse, P = self._forward(theta, X)
-        n = indices.size
-        dlogits = P.copy()
-        dlogits[np.arange(n), y] -= 1.0   # per-sample dCE/dlogits, no 1/n
+        X, y = self._batch(theta, indices, self.labels)
+        W2, H, _, dlogits = self._forward(theta, X, y)  # per-sample dCE/dlogits, no 1/n
+        n = y.size
         dW2 = np.einsum("bc,bh->bch", dlogits, H)
-        db2 = dlogits
         dH = dlogits @ W2
         dZ1 = dH * (1.0 - H * H)
         dW1 = np.einsum("bh,bd->bhd", dZ1, X)
-        db1 = dZ1
-        grads = np.concatenate(
-            [dW1.reshape(n, -1), db1, dW2.reshape(n, -1), db2], axis=1)
-        return -grads  # log-likelihood gradient = -dCE/dtheta
+        # per sample [dW1, db1, dW2, db2]; the log-likelihood gradient is -dCE/dtheta
+        return -np.concatenate([dW1.reshape(n, -1), dZ1, dW2.reshape(n, -1), dlogits], axis=1)
 
 
 def finite_diff_grad(task: Task, theta: np.ndarray, batch=None, h: float = 1e-5) -> np.ndarray:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from recadamlab.optim import STEPPER_KINDS, AdamConfig
 from recadamlab.recall import PenaltyModel
 from recadamlab.shifting import AnnealSchedule
 from recadamlab.storage import read_vector, write_vector
-from recadamlab.tasks import gen_task
+from recadamlab.tasks import QuadraticTask, gen_task
 
 QUAD_BASE = """
 transfer.kind=quadratic
@@ -495,6 +496,26 @@ class TestBatchedSweep:
             assert np.array_equal(grad, lone_grad)
         with pytest.raises(DimensionError):
             task.loss_and_grad(np.zeros((runs, dim + 1)))
+
+    def test_finite_losses_whose_sum_overflows_are_not_a_failure(self):
+        # three rows, each loss 8.45e307: the losses are finite one by one,
+        # their sum is not.  A summed check would fail a step in which no row
+        # can be retired; the alarm turns a retry loop into a failure.
+        def hung(signum, frame):
+            raise TimeoutError("_run_loop did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            results = harness._run_loop(
+                QuadraticTask(np.eye(1), np.zeros(1)), np.full((3, 1), 1.3e154), 3, 1,
+                [None] * 3, None, PenaltyModel.none(np.zeros(1)), "adam", AdamConfig(alpha=0.1))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for trace, theta in results:
+            assert len(trace) == 3
+            assert np.isfinite(trace.data).all() and np.isfinite(theta).all()
 
 
 class TestReport:

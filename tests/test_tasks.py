@@ -115,6 +115,22 @@ class TestBatches:
             task.loss_and_grad(np.zeros(4), np.array([25]))
         with pytest.raises(InvalidBatchError):
             batch_stream(10, 0, RandomSource(0))
+        with pytest.raises(InvalidBatchError):  # refused at the call, not at the first draw
+            batch_stream(0, 4, RandomSource(0))
+        # an empty list reads as float64; floats would read rows [0, 1], booleans [1, 0]
+        for batch in ([], [0.7, 1.9], [True, False]):
+            with pytest.raises(InvalidBatchError):
+                task.loss_and_grad(np.zeros(4), np.array(batch))
+
+    def test_integer_batches_of_any_width_read_the_same_rows(self):
+        task = gen_task("linear-regression", 4, RandomSource(2), n_samples=20)
+        theta = RandomSource(3).normal(4)
+        expected = task.loss_and_grad(theta, np.array([1, 0], dtype=np.intp))
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            loss, grad = task.loss_and_grad(theta, np.array([1, 0], dtype=dtype))
+            assert loss == expected[0] and np.array_equal(grad, expected[1])
+        with pytest.raises(InvalidBatchError):
+            task.loss_and_grad(theta, np.array([-1], dtype=np.int32))
 
     @pytest.mark.parametrize("batch", [[-1], [0, -5]], ids=["minus-one", "minus-five"])
     @pytest.mark.parametrize("kind", DATASET_KINDS)
@@ -447,6 +463,24 @@ REFUSED = {
     "mlp-feature-width": (
         lambda: MlpTask(3, 2, 2, np.zeros((4, 2)), np.zeros(4, dtype=int)), DimensionError,
         "feature width"),
+    "linear-one-dim-features": (
+        lambda: LinearRegressionTask(np.zeros(4), np.zeros(4)), DimensionError,
+        "one row per feature row"),
+    "logistic-one-dim-features": (
+        lambda: LogisticRegressionTask(np.zeros(4), np.zeros(4)), DimensionError,
+        "one row per feature row"),
+    "mlp-one-dim-features": (
+        lambda: MlpTask(2, 3, 2, np.zeros(4), np.zeros(4, dtype=int)), DimensionError,
+        "one row per feature row"),
+    "mlp-negative-label": (
+        lambda: MlpTask(2, 3, 2, np.ones((4, 2)), np.array([0, 1, -1, 1])), ValueError,
+        r"labels must be integers in \[0, 2\)"),
+    "mlp-label-equal-to-classes": (
+        lambda: MlpTask(2, 3, 2, np.ones((4, 2)), np.array([0, 1, 2, 1])), ValueError,
+        r"labels must be integers in \[0, 2\)"),
+    "mlp-float-labels": (
+        lambda: MlpTask(2, 3, 2, np.ones((4, 2)), np.array([0.0, 1.0, 0.0, 1.0])), ValueError,
+        r"labels must be integers in \[0, 2\)"),
     "linear-theta-length": (
         lambda: LinearRegressionTask(np.zeros((4, 2)), np.zeros(4)).loss_and_grad(
             np.zeros(3)), DimensionError, "theta length 3"),
