@@ -18,6 +18,7 @@ from .numkit import RandomSource, check_same_length
 from .tasks import Task
 
 PENALTY_KINDS = ("none", "isotropic", "diagonal-fisher")
+FISHER_BLOCK_ROWS = 1024  # per-sample gradient rows estimate_diag_fisher holds at once
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,9 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
     F_i = mean over n_samples i.i.d. row draws of the squared per-sample
     log-likelihood gradient.  Returns (fisher_diag, n_obs) where n_obs is
     the dataset size, the observation count entering the penalty scale.
+    Gradients come in blocks of FISHER_BLOCK_ROWS rows (O(block * d) memory),
+    each adding the running sum to its first row: the bits of the one-shot
+    mean, which adds the rows in turn (a d = 1 column pairwise: one block).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -111,7 +115,15 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
     if theta_star.size != task.dim:
         raise DimensionError("theta_star length does not match task dim")
     indices = rng.child("fisher-samples").integers(0, n_rows, size=n_samples)
-    grads = task.per_sample_loglik_grads(theta_star, indices)
-    grads *= grads
-    return grads.mean(axis=0), n_rows
+    block = n_samples if task.dim == 1 else FISHER_BLOCK_ROWS
+    # a lone last row joins the block before: NumPy would take a vector product for it
+    edges = [*range(0, max(n_samples - 1, 1), block), n_samples]
+    total = np.zeros(task.dim)  # 0.0 + x is x for every square x
+    for start, stop in zip(edges, edges[1:]):
+        grads = task.per_sample_loglik_grads(theta_star, indices[start:stop])
+        grads *= grads
+        grads[0] += total
+        total = grads.sum(axis=0)
+        del grads  # freed before the next block is computed
+    return total / n_samples, n_rows
 

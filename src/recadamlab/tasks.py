@@ -56,18 +56,25 @@ class Task:
     def dataset_size(self) -> int:
         return self.features.shape[0]
 
-    def _check_dataset(self, labels: np.ndarray, name: str) -> int:
-        """The feature width, once features is 2-D with one of labels per row."""
+    def _check_dataset(self, name: str) -> int:
+        """Hold features and the labels called name as read-only C-contiguous views
+        (no reader writes into the dataset); the feature width, once they fit."""
+        for key in ("features", name):
+            setattr(self, key, np.ascontiguousarray(getattr(self, key)).view())
+            getattr(self, key).flags.writeable = False
+        labels = getattr(self, name)
         if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
             raise DimensionError(f"{name} must have one row per feature row of 2-D features")
         return self.features.shape[1]
 
     def _batch(self, theta: np.ndarray, batch, labels: np.ndarray):
-        """The feature rows and labels of a batch (None: every row), once theta
-        has the task's length and the batch holds integer indices of rows."""
+        """The feature rows and labels of a batch of integer row indices, once theta
+        has the task's length; None: every row, the read-only dataset, no copy."""
         if theta.size != self.dim:
             raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
-        idx = np.arange(labels.size) if batch is None else np.asarray(batch).reshape(-1)
+        if batch is None and labels.size:
+            return self.features, labels
+        idx = np.asarray([] if batch is None else batch).reshape(-1)
         if idx.size == 0:  # checked first: an empty list reads as float64
             raise InvalidBatchError("empty batch")
         if idx.dtype.kind not in "iu":
@@ -133,7 +140,7 @@ class LinearRegressionTask(Task):
     kind: str = field(default="linear-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self._check_dataset(self.targets, "targets")
+        self.dim = self._check_dataset("targets")
 
     def loss_and_grad(self, theta, batch=None):
         X, y = self._batch(theta, batch, self.targets)
@@ -143,9 +150,8 @@ class LinearRegressionTask(Task):
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self.features[indices].astype(np.float64, copy=False), self.targets[indices]
-        X *= (y - X @ theta)[:, None]
-        return X
+        X, y = self._batch(theta, indices, self.targets)
+        return X * (y - X @ theta)[:, None]
 
 
 @dataclass
@@ -158,7 +164,7 @@ class LogisticRegressionTask(Task):
     kind: str = field(default="logistic-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self._check_dataset(self.labels, "labels")
+        self.dim = self._check_dataset("labels")
 
     def loss_and_grad(self, theta, batch=None):
         X, y = self._batch(theta, batch, self.labels)
@@ -170,9 +176,8 @@ class LogisticRegressionTask(Task):
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self.features[indices].astype(np.float64, copy=False), self.labels[indices]
-        X *= (y - _sigmoid(X @ theta))[:, None]
-        return X
+        X, y = self._batch(theta, indices, self.labels)
+        return X * (y - _sigmoid(X @ theta))[:, None]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -203,7 +208,7 @@ class MlpTask(Task):
 
     def __post_init__(self):
         self.dim = _mlp_dim(self.dim_in, self.hidden, self.classes)
-        if self._check_dataset(self.labels, "labels") != self.dim_in:
+        if self._check_dataset("labels") != self.dim_in:
             raise DimensionError("feature width must equal dim_in")
         if self.labels.dtype.kind not in "iu" or not np.isin(
                 self.labels, range(self.classes)).all():

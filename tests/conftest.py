@@ -1,4 +1,21 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(call): the most bytes held at once by what call() allocates,
+    NumPy's buffers included, as tracemalloc counts them."""
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

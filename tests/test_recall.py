@@ -3,8 +3,8 @@ import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.recall import (PenaltyModel, _penalty_terms, estimate_diag_fisher,
-                               penalty_grad, penalty_loss)
+from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_terms,
+                               estimate_diag_fisher, penalty_grad, penalty_loss)
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               gen_task)
 
@@ -185,6 +185,44 @@ class TestFisherEstimation:
         task = gen_task("quadratic", 3, RandomSource(0))
         with pytest.raises(UnsupportedTaskError):
             estimate_diag_fisher(task, np.zeros(3), 10, RandomSource(0))
+
+    @pytest.mark.parametrize("n_samples", [1, FISHER_BLOCK_ROWS - 1, FISHER_BLOCK_ROWS,
+                                           FISHER_BLOCK_ROWS + 1, 3 * FISHER_BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("kind, dim", [(kind, 0 if kind == "mlp-1h" else 6)
+                                           for kind in DATASET_KINDS]
+                             + [("logistic-regression", 1)])
+    def test_blocked_estimate_is_the_one_shot_mean(self, kind, dim, n_samples,
+                                                   monkeypatch):
+        task = gen_task(kind, dim, RandomSource(12), dim_in=3, hidden=4, classes=3,
+                        n_samples=300)
+        theta_star = RandomSource(13).normal(task.dim)
+        indices = RandomSource(14).child("fisher-samples").integers(0, 300, size=n_samples)
+        grads = task.per_sample_loglik_grads(theta_star, indices)
+        expected = (grads * grads).mean(axis=0)
+        blocks, per_sample = [], task.per_sample_loglik_grads
+
+        def recording(theta, rows):
+            block = per_sample(theta, rows)
+            blocks.append(block.copy())
+            return block
+
+        monkeypatch.setattr(task, "per_sample_loglik_grads", recording)
+        fisher, _ = estimate_diag_fisher(task, theta_star, n_samples, RandomSource(14))
+        assert fisher.tobytes() == expected.tobytes()
+        # the blocks hold the one-shot rows bit for bit, which a lone 1-row block
+        # (NumPy's vector product) often would not; one rounding can hide that in the sum
+        assert np.concatenate(blocks).tobytes() == grads.tobytes()
+        # a d = 1 column is summed pairwise, not row by row, so it is one block
+        assert len(blocks) == 1 if dim == 1 else max(map(len, blocks)) <= FISHER_BLOCK_ROWS + 1
+
+    def test_estimate_memory_does_not_grow_with_the_sample_count(self, traced_peak):
+        dim = 64
+        task = gen_task("logistic-regression", dim, RandomSource(15), n_samples=2048)
+        theta_star = RandomSource(16).normal(dim)
+        n_samples = 32 * FISHER_BLOCK_ROWS  # one-shot: 16 MiB of per-sample gradients
+        peak = traced_peak(lambda: estimate_diag_fisher(task, theta_star, n_samples,
+                                                        RandomSource(17)))
+        assert peak < 4 * FISHER_BLOCK_ROWS * dim * 8
 
     def test_mlp_per_sample_grads_square_to_batch_consistency(self):
         # mean per-sample log-lik gradient equals -batch gradient

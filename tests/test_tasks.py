@@ -132,13 +132,48 @@ class TestBatches:
         with pytest.raises(InvalidBatchError):
             task.loss_and_grad(theta, np.array([-1], dtype=np.int32))
 
-    @pytest.mark.parametrize("batch", [[-1], [0, -5]], ids=["minus-one", "minus-five"])
+    @pytest.mark.parametrize("batch", [[-1], [0, -5], [1.0]],
+                             ids=["minus-one", "minus-five", "float"])
     @pytest.mark.parametrize("kind", DATASET_KINDS)
     def test_negative_batch_index_rejected(self, kind, batch):
         task = gen_task(kind, 0 if kind == "mlp-1h" else 4, RandomSource(2), dim_in=2,
                         hidden=3, classes=2, n_samples=20)
         with pytest.raises(InvalidBatchError):
             task.loss_and_grad(np.zeros(task.dim), np.array(batch))
+        with pytest.raises(InvalidBatchError):
+            task.per_sample_loglik_grads(np.zeros(task.dim), np.array(batch))
+
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
+    def test_dataset_is_read_only(self, kind):
+        pair = gen_transfer_pair(kind, 0 if kind == "mlp-1h" else 4, 0.5, RandomSource(2),
+                                 dim_in=2, hidden=3, classes=2, n_samples=20)
+        task = pair.target
+        labels = task.targets if kind == "linear-regression" else task.labels
+        for array in (task.features, labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        # the regressions' source and target still hold one noise array as features;
+        # mlp-1h features add each member's own class centers to the noise
+        shared = np.shares_memory(pair.source.features, pair.target.features)
+        assert shared == (kind != "mlp-1h")
+
+    @pytest.mark.parametrize("build", [LinearRegressionTask, LogisticRegressionTask,
+                                       lambda X, y: MlpTask(2, 3, 2, X, y)],
+                             ids=["linear", "logistic", "mlp"])
+    def test_hand_built_task_leaves_the_caller_arrays_writeable(self, build):
+        features, labels = np.zeros((6, 2)), np.ones(6, dtype=np.intp)
+        task = build(features, labels)
+        assert not task.features.flags.writeable
+        features[0, 0] = labels[0] = 0  # raises if the task had made them read-only
+
+    @pytest.mark.parametrize("kind", DATASET_KINDS)
+    def test_full_data_loss_copies_no_dataset(self, kind, traced_peak):
+        # 8192 x 64 float64 features: 4 MiB, which a gather of every row would copy
+        task = gen_task(kind, 0 if kind == "mlp-1h" else 64, RandomSource(4), dim_in=64,
+                        hidden=4, classes=2, n_samples=8192)
+        theta = RandomSource(5).normal(task.dim)
+        assert task.features.nbytes == 4 << 20
+        assert traced_peak(lambda: task.loss_and_grad(theta, None)) < task.features.nbytes
 
 
 def sigmoid_oracle(z: float) -> float:
