@@ -14,7 +14,6 @@ from .optim import (AdamConfig, AdamState, ScheduleMultiplier, adam_step,
 from .recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
 from .shifting import AnnealSchedule, composite_loss, lambda_at
 from .storage import read_vector, write_vector
-from .tasks import (Task, TransferPair, batch_stream, finite_diff_grad, gen_task,
-                    gen_transfer_pair, task_from_spec)
+from .tasks import Task, TransferPair, batch_stream, gen_task, gen_transfer_pair
 
 __version__ = "0.1.0"

@@ -102,9 +102,10 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
     F_i = mean over n_samples i.i.d. row draws of the squared per-sample
     log-likelihood gradient.  Returns (fisher_diag, n_obs) where n_obs is
     the dataset size, the observation count entering the penalty scale.
-    Gradients come in blocks of FISHER_BLOCK_ROWS rows (O(block * d) memory),
-    each adding the running sum to its first row: the bits of the one-shot
-    mean, which adds the rows in turn (a d = 1 column pairwise: one block).
+    Row indices and gradients come in blocks of FISHER_BLOCK_ROWS rows
+    (O(block * d) memory), each adding the running sum to its first row:
+    the bits of the one-shot mean, which adds the rows in turn (a d = 1
+    column pairwise: one block).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -114,13 +115,13 @@ def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,
             f"{task.kind} has no dataset to estimate a Fisher from")
     if theta_star.size != task.dim:
         raise DimensionError("theta_star length does not match task dim")
-    indices = rng.child("fisher-samples").integers(0, n_rows, size=n_samples)
+    draws = rng.child("fisher-samples")  # per-block draws: the integers of one whole draw
     block = n_samples if task.dim == 1 else FISHER_BLOCK_ROWS
     # a lone last row joins the block before: NumPy would take a vector product for it
     edges = [*range(0, max(n_samples - 1, 1), block), n_samples]
     total = np.zeros(task.dim)  # 0.0 + x is x for every square x
     for start, stop in zip(edges, edges[1:]):
-        grads = task.per_sample_loglik_grads(theta_star, indices[start:stop])
+        grads = task.per_sample_loglik_grads(theta_star, draws.integers(0, n_rows, stop - start))
         grads *= grads
         grads[0] += total
         total = grads.sum(axis=0)

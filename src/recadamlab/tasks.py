@@ -11,11 +11,11 @@ Each kind is one row of the ``_KINDS`` table: a draw of its generative
 parameters and a build of the task from them.  ``gen_task`` and
 ``gen_transfer_pair`` are the only generators; both draw exclusively from
 labelled child streams of the RandomSource they are given, and each task
-records its generator's arguments and seed, so
-``task_from_spec(task.to_spec())`` rebuilds it bit for bit.  Transfer
-pairs interpolate generative parameters (centers, true weights) with a
-relatedness knob rho; the dataset noise is drawn once and shared between
-source and target so rho = 1 yields an identical task.
+records its generator's arguments and seed in ``spec`` (both members of a
+pair record the same one).  Transfer pairs interpolate generative
+parameters (centers, true weights) with a relatedness knob rho; the dataset
+noise is drawn once and shared between source and target so rho = 1 yields
+an identical task.
 """
 
 from dataclasses import dataclass, field
@@ -86,11 +86,6 @@ class Task:
 
     def per_sample_loglik_grads(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise UnsupportedTaskError(f"{self.kind} has no per-sample log-likelihood")
-
-    def to_spec(self) -> dict:
-        if self.spec is None:
-            raise ValueError("task was built directly from arrays and has no generation spec")
-        return dict(self.spec)
 
 
 @dataclass
@@ -260,23 +255,6 @@ class MlpTask(Task):
         return -np.concatenate([dW1.reshape(n, -1), dZ1, dW2.reshape(n, -1), dlogits], axis=1)
 
 
-def finite_diff_grad(task: Task, theta: np.ndarray, batch=None, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError(f"finite-difference step must be > 0, got {h}")
-    base = np.array(theta, dtype=np.float64)
-    grad = np.empty_like(base)
-    for i in range(base.size):
-        saved = base[i]
-        base[i] = saved + h
-        lp, _ = task.loss_and_grad(base, batch)
-        base[i] = saved - h
-        lm, _ = task.loss_and_grad(base, batch)
-        base[i] = saved
-        grad[i] = (lp - lm) / (2 * h)
-    return grad
-
-
 # --- generators ------------------------------------------------------------
 # One row of _KINDS per task kind: draw(rng, spec) makes the generative
 # parameters from a stream, noise(data, spec) draws the dataset noise from
@@ -370,7 +348,7 @@ def _task_spec(kind: str, dim: int, seed: int, sizes: dict) -> dict:
     """kind, dim and seed plus the kind's own keywords, a missing or None
     keyword taking its default, after every size check.  Keywords that only
     other kinds use are accepted and left out, so one set of keywords (a
-    config's, or an older spec's) serves every kind."""
+    config's) serves every kind."""
     if kind not in _KINDS:
         raise UnsupportedTaskError(f"unknown task kind: {kind!r}")
     unknown = sizes.keys() - _KEYWORDS
@@ -430,23 +408,8 @@ def gen_transfer_pair(kind: str, dim: int, rho: float, rng: RandomSource,
     spec = _task_spec(kind, dim, rng.seed, sizes)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"relatedness rho must lie in [0, 1], got {rho}")
-    spec["rho"] = rho
     draw, draw_noise, build, _ = _KINDS[kind]
     p_src = draw(rng.child("source-params"), spec)
     p_tgt = _mix(rho, p_src, draw(rng.child("independent-params"), spec))
     noise = draw_noise(rng.child("data"), spec)
-    return TransferPair(build(p_src, noise, {**spec, "role": "source"}),
-                        build(p_tgt, noise, {**spec, "role": "target"}))
-
-
-def task_from_spec(spec: dict) -> Task:
-    """Replay a task from its spec, the generator's arguments plus seed (and
-    rho and role for a pair member), in one generator call.  A single mlp-1h
-    spec written before dim was recorded has no dim; 0 derives it."""
-    kw = dict(spec)
-    role = kw.pop("role", None)
-    kind, dim, rng = kw.pop("kind"), kw.pop("dim", 0), RandomSource(kw.pop("seed"))
-    if role is None:
-        return gen_task(kind, dim, rng, **kw)
-    pair = gen_transfer_pair(kind, dim, kw.pop("rho"), rng, **kw)
-    return pair.source if role == "source" else pair.target
+    return TransferPair(build(p_src, noise, spec), build(p_tgt, noise, spec))

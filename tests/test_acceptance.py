@@ -20,8 +20,9 @@ from recadamlab.optim import (AdamConfig, AdamState, adam_step, adamw_step,
                               recadam_step_parts)
 from recadamlab.recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
 from recadamlab.shifting import AnnealSchedule, lambda_at
-from recadamlab.tasks import LinearRegressionTask, finite_diff_grad, gen_task
+from recadamlab.tasks import LinearRegressionTask, gen_task
 
+from grad_oracle import finite_diff_grad
 from scalar_oracle import quadratic_bowl_trace
 
 DEFAULTS = AdamConfig(alpha=0.1)

@@ -3,23 +3,25 @@ import io
 import json
 import re
 import signal
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recadamlab import harness
 from recadamlab.cli import main
-from recadamlab.config import config_from_values, parse_flat_text
+from recadamlab.config import INIT_KINDS, config_from_values, parse_flat_text
 from recadamlab.errors import ConfigError, DimensionError, NoDataError, NumericError
 from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair,
                                 finetune, pretrain, read_trace, report, sweep)
 from recadamlab.numkit import RandomSource
-from recadamlab.optim import STEPPER_KINDS, AdamConfig
-from recadamlab.recall import PenaltyModel
+from recadamlab.optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig
+from recadamlab.recall import PENALTY_KINDS, PenaltyModel
 from recadamlab.shifting import AnnealSchedule
 from recadamlab.storage import read_vector, write_vector
-from recadamlab.tasks import QuadraticTask, gen_task
+from recadamlab.tasks import DATASET_KINDS, TASK_KINDS, QuadraticTask, gen_task
 
 QUAD_BASE = """
 transfer.kind=quadratic
@@ -366,6 +368,47 @@ def assert_runs_match_lone_finetunes(cfg, theta_star, lone_root):
     return statuses
 
 
+# small task sizes per kind, so that one example of the property test runs in milliseconds
+SMALL_TASKS = {
+    "quadratic": {"transfer.dim": 5},
+    "linear-regression": {"transfer.dim": 4, "transfer.n_samples": 60},
+    "logistic-regression": {"transfer.dim": 4, "transfer.n_samples": 60},
+    "mlp-1h": {"transfer.dim_in": 2, "transfer.hidden": 3, "transfer.classes": 2,
+               "transfer.n_samples": 60},
+}
+
+
+@st.composite
+def small_sweeps(draw):
+    """(typed config values without output_dir, sweep grid): any task kind,
+    optimizer, penalty (a Fisher only on a dataset kind), init and schedule,
+    1-2 k, 1-2 gamma (isotropic only) and 1-3 seeds."""
+    kind = draw(st.sampled_from(TASK_KINDS))
+    penalty = draw(st.sampled_from([p for p in PENALTY_KINDS
+                                    if kind in DATASET_KINDS or p != "diagonal-fisher"]))
+    warmup = draw(st.integers(0, 10))
+    values = {"transfer.kind": kind, "transfer.rho": 0.6, "transfer.seed": draw(st.integers(0, 9)),
+              **SMALL_TASKS[kind], "pretrain.steps": 10, "pretrain.optimizer.alpha": 0.1,
+              "finetune.steps": draw(st.integers(1, 40)),
+              "finetune.batch_size": draw(st.integers(1, 50)),
+              "finetune.optimizer.kind": draw(st.sampled_from(STEPPER_KINDS)),
+              "finetune.optimizer.alpha": 0.05, "finetune.optimizer.weight_decay": 0.01,
+              "finetune.init": draw(st.sampled_from(INIT_KINDS)),
+              "finetune.schedule.kind": draw(st.sampled_from(SCHEDULE_KINDS)),
+              "finetune.schedule.warmup_steps": warmup,
+              "finetune.schedule.total_steps": warmup + draw(st.integers(1, 40)),
+              "penalty.kind": penalty, "penalty.fisher_samples": 16,
+              "shifting.t0": draw(st.integers(0, 30))}
+
+    def some(options, most):
+        return draw(st.lists(st.sampled_from(options), min_size=1, max_size=most, unique=True))
+
+    grid = {"k": some((0.0, 0.1, 1.0, 50.0), 2), "t0": None,
+            "gamma": some((0.0, 1.0, 5000.0), 2) if penalty == "isotropic" else None,
+            "seeds": some(range(6), 3)}
+    return values, grid
+
+
 class TestBatchedSweep:
     """A sweep advances its runs together, as the rows of one loop; every
     run's files are the bytes a lone finetune writes."""
@@ -397,6 +440,17 @@ class TestBatchedSweep:
         assert len(fisher_calls) == 1
         statuses = assert_runs_match_lone_finetunes(cfg, theta_star, tmp_path / "lone")
         assert statuses == ["ok"] * 12
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(small_sweeps())
+    def test_every_stack_equals_its_lone_runs(self, sweep_case):
+        values, grid = sweep_case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = config_from_values({**values, "output_dir": str(Path(tmp) / "exp")})
+            theta_star, _ = pretrain(cfg)
+            sweep(cfg, grid)
+            assert_runs_match_lone_finetunes(cfg, theta_star, Path(tmp) / "lone")
 
     def test_sweep_builds_the_transfer_pair_once(self, tmp_path, monkeypatch):
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})

@@ -75,6 +75,18 @@ def test_random_source_draws_are_philox_draws(seed):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("n", [7, 8192, 2**31 + 5, 2**40])
+@pytest.mark.parametrize("chunks", [(1, 1, 1), (1, 2, 3, 1), (5, 1, 2),
+                                    (1024, 1024, 1025), (1023, 1, 1024, 17), (1, 3089)])
+def test_chunked_integer_draws_are_one_draw(n, chunks):
+    """Integers drawn a chunk at a time are the integers of one draw of the
+    total, odd chunks and 32-bit ranges included: estimate_diag_fisher draws
+    its row indices one block at a time."""
+    source = RandomSource(23)
+    chunked = np.concatenate([source.integers(0, n, size=c) for c in chunks])
+    assert chunked.tobytes() == RandomSource(23).integers(0, n, size=sum(chunks)).tobytes()
+
+
 def test_random_source_child_streams_look_independent():
     parent = RandomSource(5)
     a = parent.child("a").normal(20_000)

@@ -215,11 +215,12 @@ class TestFisherEstimation:
         # a d = 1 column is summed pairwise, not row by row, so it is one block
         assert len(blocks) == 1 if dim == 1 else max(map(len, blocks)) <= FISHER_BLOCK_ROWS + 1
 
-    def test_estimate_memory_does_not_grow_with_the_sample_count(self, traced_peak):
+    # one-shot: 16 MiB of per-sample gradients; 256 blocks: 2 MiB of row indices
+    @pytest.mark.parametrize("n_samples", [32 * FISHER_BLOCK_ROWS, 256 * FISHER_BLOCK_ROWS])
+    def test_estimate_memory_does_not_grow_with_the_sample_count(self, traced_peak, n_samples):
         dim = 64
         task = gen_task("logistic-regression", dim, RandomSource(15), n_samples=2048)
         theta_star = RandomSource(16).normal(dim)
-        n_samples = 32 * FISHER_BLOCK_ROWS  # one-shot: 16 MiB of per-sample gradients
         peak = traced_peak(lambda: estimate_diag_fisher(task, theta_star, n_samples,
                                                         RandomSource(17)))
         assert peak < 4 * FISHER_BLOCK_ROWS * dim * 8

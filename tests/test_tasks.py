@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,9 @@ from recadamlab.errors import DimensionError, InvalidBatchError, UnsupportedTask
 from recadamlab.numkit import RandomSource
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               MlpTask, QuadraticTask, TransferPair, _sigmoid, batch_stream,
-                              finite_diff_grad, gen_task, gen_transfer_pair, task_from_spec)
+                              gen_task, gen_transfer_pair)
+
+from grad_oracle import finite_diff_grad
 
 
 def rel_err(approx, exact):
@@ -273,40 +274,6 @@ class TestTransferPairs:
         assert pair.source.dim == pair.target.dim == 4 * 4 + 2 * 5
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("task_index", range(4))
-    def test_roundtrip_is_bitwise(self, task_index):
-        task = make_each_kind(seed=42)[task_index]
-        clone = task_from_spec(task.to_spec())
-        theta = RandomSource(1).normal(task.dim)
-        l1, g1 = task.loss_and_grad(theta, None)
-        l2, g2 = clone.loss_and_grad(theta, None)
-        assert l1 == l2
-        assert np.array_equal(g1, g2)
-
-    def test_transfer_pair_roundtrip(self):
-        pair = gen_transfer_pair("mlp-1h", 0, 0.7, RandomSource(77),
-                                 dim_in=4, hidden=6, classes=3, n_samples=20,
-                                 label_noise=0.1)
-        tgt = task_from_spec(pair.target.to_spec())
-        assert np.array_equal(pair.target.features, tgt.features)
-        assert np.array_equal(pair.target.labels, tgt.labels)
-        src = task_from_spec(pair.source.to_spec())
-        assert np.array_equal(pair.source.features, src.features)
-
-    def test_spec_is_json_serializable(self):
-        pair = gen_transfer_pair("logistic-regression", 4, 0.5, RandomSource(3), n_samples=20)
-        for task in make_each_kind() + [pair.source, pair.target]:
-            doc = json.loads(json.dumps(task.to_spec()))
-            assert doc == task.to_spec()
-            assert array_digest(task_from_spec(doc)) == array_digest(task)
-
-    def test_hand_built_task_has_no_spec(self):
-        task = QuadraticTask(np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            task.to_spec()
-
-
 def array_digest(task):
     """sha256 over a task's arrays: field name, dtype, shape and bytes."""
     h = hashlib.sha256()
@@ -371,83 +338,27 @@ TRANSFER_PAIRS = {
          "7a618bb02718ded71625dcfe4c2f9751de8e23316c2ea32f1a5d4acb36ff795c")),
 }
 
-# The specs the per-kind generators recorded for the cases above, written
-# out as they were: a single mlp-1h spec had no dim, and a pair spec kept
-# size keywords its kind does not use.
-OLD_SINGLE_SPECS = {
-    "quadratic": {"kind": "quadratic", "dim": 7, "seed": 3},
-    "linear-regression": {"kind": "linear-regression", "dim": 5, "seed": 4,
-                          "n_samples": 40, "noise_std": 0.1},
-    "linear-regression-noise": {"kind": "linear-regression", "dim": 5, "seed": 4,
-                                "n_samples": 40, "noise_std": 0.3},
-    "logistic-regression": {"kind": "logistic-regression", "dim": 6, "seed": 5,
-                            "n_samples": 50},
-    "mlp-1h": {"kind": "mlp-1h", "dim_in": 3, "hidden": 4, "classes": 2, "seed": 6,
-               "n_samples": 40, "center_scale": 1.0, "noise_std": 1.0,
-               "label_noise": 0.0},
-    "mlp-1h-options": {"kind": "mlp-1h", "dim_in": 3, "hidden": 4, "classes": 3, "seed": 7,
-                       "n_samples": 60, "center_scale": 2.5, "noise_std": 0.5,
-                       "label_noise": 0.2},
-}
-OLD_PAIR_SPECS = {
-    "quadratic": {"kind": "quadratic", "dim": 6, "rho": 0.3, "seed": 8,
-                  "n_samples": 512, "center_scale": 1.0, "label_noise": 0.0},
-    "linear-regression": {"kind": "linear-regression", "dim": 5, "rho": 0.6, "seed": 9,
-                          "n_samples": 30, "center_scale": 1.0, "label_noise": 0.0,
-                          "noise_std": 0.25},
-    "linear-regression-default": {"kind": "linear-regression", "dim": 4, "rho": 0.2,
-                                  "seed": 12, "n_samples": 20, "center_scale": 1.0,
-                                  "label_noise": 0.0, "noise_std": 0.1},
-    "logistic-regression": {"kind": "logistic-regression", "dim": 4, "rho": 0.5,
-                            "seed": 10, "n_samples": 35, "center_scale": 1.0,
-                            "label_noise": 0.0},
-    "mlp-1h-default": {"kind": "mlp-1h", "dim": 17, "rho": 0.4, "seed": 13,
-                       "n_samples": 15, "center_scale": 1.0, "label_noise": 0.0,
-                       "dim_in": 2, "hidden": 3, "classes": 2, "noise_std": 1.0},
-    "mlp-1h": {"kind": "mlp-1h", "dim": 31, "rho": 0.7, "seed": 11, "n_samples": 25,
-               "center_scale": 1.5, "label_noise": 0.25, "dim_in": 3, "hidden": 4,
-               "classes": 3, "noise_std": 0.8},
-}
-
-
 class TestGeneratorBits:
     @pytest.mark.parametrize("case", sorted(SINGLE_TASKS))
     def test_single_task_arrays_are_pinned(self, case):
         (kind, dim, seed, sizes), expected = SINGLE_TASKS[case]
         task = gen_task(kind, dim, RandomSource(seed), **sizes)
         assert array_digest(task) == expected
-        assert array_digest(task_from_spec(task.to_spec())) == expected
 
     @pytest.mark.parametrize("case", sorted(TRANSFER_PAIRS))
     def test_transfer_pair_arrays_are_pinned(self, case):
         (kind, dim, rho, seed, sizes), expected = TRANSFER_PAIRS[case]
         pair = gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
         assert (array_digest(pair.source), array_digest(pair.target)) == expected
-        members = (task_from_spec(pair.source.to_spec()), task_from_spec(pair.target.to_spec()))
-        assert tuple(map(array_digest, members)) == expected
-
-    @pytest.mark.parametrize("case", sorted(OLD_SINGLE_SPECS))
-    def test_old_single_spec_rebuilds_the_same_arrays(self, case):
-        task = task_from_spec(OLD_SINGLE_SPECS[case])
-        assert array_digest(task) == SINGLE_TASKS[case][1]
-
-    @pytest.mark.parametrize("case", sorted(OLD_PAIR_SPECS))
-    def test_old_pair_spec_rebuilds_the_same_arrays(self, case):
-        spec = OLD_PAIR_SPECS[case]
-        expected = TRANSFER_PAIRS[case][1]
-        members = (task_from_spec({**spec, "role": "source"}),
-                   task_from_spec({**spec, "role": "target"}))
-        assert tuple(map(array_digest, members)) == expected
 
     def test_spec_is_the_generator_arguments_plus_seed(self):
         task = gen_task("mlp-1h", 0, RandomSource(6), dim_in=3, hidden=4, classes=2,
                         n_samples=40)
-        assert task.to_spec() == {"kind": "mlp-1h", "dim": 26, "seed": 6, "dim_in": 3,
-                                  "hidden": 4, "classes": 2, "n_samples": 40,
-                                  "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}
+        assert task.spec == {"kind": "mlp-1h", "dim": 26, "seed": 6, "dim_in": 3,
+                             "hidden": 4, "classes": 2, "n_samples": 40,
+                             "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}
         pair = gen_transfer_pair("quadratic", 6, 0.3, RandomSource(8), n_samples=512)
-        assert pair.target.to_spec() == {"kind": "quadratic", "dim": 6, "seed": 8,
-                                         "rho": 0.3, "role": "target"}
+        assert pair.target.spec == pair.source.spec == {"kind": "quadratic", "dim": 6, "seed": 8}
 
 
 class TestSizeChecks:
