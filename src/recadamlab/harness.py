@@ -12,14 +12,16 @@ curve cells are %.17g floats too.  RunSummary.final_target_loss is
 evaluated on the full dataset at the final parameters; best/steps-to-
 threshold come from the per-step batch losses in the trace.
 
-One training loop, _run_loop, advances a stack of runs at once: theta and
-the Adam moments are (S, d) arrays with one run per row.  pretrain and
-finetune are its S = 1 case; sweep runs its grid through it in chunks of
-at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and every run's
-files are the same bytes a lone finetune writes.
+One training loop, _run_loop, advances a stack of runs at once: theta and the
+Adam moments are (S, d) arrays with one run per row.  pretrain and finetune are
+its S = 1 case; sweep runs its grid through it in chunks of at most
+_SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and every run's files are
+the same bytes a lone finetune writes.  One-entry memos hold the transfer pair
+and any Fisher diagonal: a process builds each once per key.
 """
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -131,26 +133,40 @@ class RunSummary:
 
 
 def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
-    t = cfg.transfer
-    sizes = {k: v for k, v in vars(t).items() if k not in ("kind", "dim", "rho", "seed")}
-    return gen_transfer_pair(t.kind, t.dim, t.rho, RandomSource(t.seed), **sizes)
+    """cfg's transfer pair, from a one-entry memo: every caller shares it, read-only."""
+    return _pair_of(**vars(cfg.transfer))
 
 
-def build_penalty(cfg: ExperimentConfig, pair: TransferPair,
-                  theta_star: np.ndarray) -> PenaltyModel:
-    """The penalty every fine-tuning run of cfg, or of a sweep over it, shares
-    (with any Fisher diagonal); a theta_star of the wrong length is a ConfigError."""
-    if theta_star.size != pair.target.dim:
-        raise ConfigError(f"theta_star length {theta_star.size} != task dim {pair.target.dim}")
+@functools.lru_cache(maxsize=1)
+def _pair_of(kind, dim, rho, seed, **sizes) -> TransferPair:
+    pair = gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
+    for task in (pair.source, pair.target):
+        for array in (v for v in vars(task).values() if isinstance(v, np.ndarray)):
+            array.flags.writeable = False
+    return pair
+
+
+@functools.lru_cache(maxsize=1)
+def _fisher_of(fisher_samples: int, theta_bytes: bytes, **t):
+    """(read-only Fisher diagonal, n_obs) of t's source task at the anchor theta_bytes."""
+    fisher, n_obs = estimate_diag_fisher(_pair_of(**t).source, np.frombuffer(theta_bytes),
+                                         fisher_samples, RandomSource(t["seed"]).child("fisher"))
+    fisher.flags.writeable = False
+    return fisher, n_obs
+
+
+def build_penalty(cfg: ExperimentConfig, theta_star: np.ndarray) -> PenaltyModel:
+    """cfg's penalty, anchored at theta_star (of the task's length, or a ConfigError); a
+    Fisher diagonal is memoized by theta_star's bytes, so a changed anchor is re-estimated."""
+    if theta_star.size != (dim := build_transfer_pair(cfg).target.dim):
+        raise ConfigError(f"theta_star length {theta_star.size} != task dim {dim}")
     pen = cfg.penalty
     if pen.kind == "none":
         return PenaltyModel.none(theta_star)
     if pen.kind == "isotropic":
         return PenaltyModel.isotropic(theta_star, pen.gamma)
-    fisher_rng = RandomSource(cfg.transfer.seed).child("fisher")
-    fisher, n_obs = estimate_diag_fisher(pair.source, theta_star,
-                                         pen.fisher_samples, fisher_rng)
-    return PenaltyModel.diagonal_fisher(theta_star, fisher, n_obs)
+    return PenaltyModel.diagonal_fisher(theta_star, *_fisher_of(
+        pen.fisher_samples, np.asarray(theta_star, np.float64).tobytes(), **vars(cfg.transfer)))
 
 
 # Per optimizer kind: (uses the recall penalty, stepper).  The lambdas call
@@ -285,11 +301,7 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
 
     Persists theta_star and the pretraining trace under cfg.output_dir.
     """
-    return _pretrain(cfg, build_transfer_pair(cfg).source, write_outputs)
-
-
-def _pretrain(cfg: ExperimentConfig, task, write_outputs: bool):
-    """pretrain on task, the source task of cfg's transfer pair; sweep builds the pair once."""
+    task = build_transfer_pair(cfg).source
     root = RandomSource(cfg.transfer.seed)
     theta0 = RANDOM_INIT_STD * root.child("pretrain-init").normal(task.dim)
     trace_paths = None
@@ -352,11 +364,10 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
     config.json into run_dir when given.  A non-finite value raises
     NumericError and leaves the trace of the steps before it.
     """
-    pair = build_transfer_pair(cfg)
-    pen = build_penalty(cfg, pair, theta_star)
+    task, pen = build_transfer_pair(cfg).target, build_penalty(cfg, theta_star)
     if run_dir is not None:
         _write_run_config(Path(run_dir), cfg, seed)
-    return _lone(_finetune_runs(pair.target, pen, theta_star, [(cfg, seed, run_dir)]))
+    return _lone(_finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
 def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
@@ -427,13 +438,12 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pair = build_transfer_pair(cfg)
     theta_path = out / "theta_star.bin"
     if theta_path.exists():
         theta_star = _read_theta_star(theta_path)
     else:
-        theta_star, _ = _pretrain(cfg, pair.source, True)
-    pen = build_penalty(cfg, pair, theta_star)
+        theta_star, _ = pretrain(cfg)
+    task, pen = build_transfer_pair(cfg).target, build_penalty(cfg, theta_star)
     points = list(runs.values())
     jobs = [(run_cfg, point["seed"], out / "runs" / run_id)
             for run_id, (point, run_cfg) in runs.items()]
@@ -443,7 +453,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     summaries = []
     chunk = max(1, min(_SWEEP_CHUNK, _TRACE_ROW_BUDGET // cfg.finetune.steps))
     for start in range(0, len(jobs), chunk):
-        results = _finetune_runs(pair.target, pen, theta_star, jobs[start:start + chunk])
+        results = _finetune_runs(task, pen, theta_star, jobs[start:start + chunk])
         for (point, run_cfg), result in zip(points[start:], results):
             if isinstance(result, NumericError):
                 rows.append({**point, "status": f"failed:step{result.step}",

@@ -459,9 +459,11 @@ class TestBatchedSweep:
         # theta_star.bin is missing: the sweep pretrains on the pair it fine-tunes on
         assert len(sweep(cfg, grid)) == 16
         assert len(pair_calls) == 1
-        # theta_star.bin exists now, so the second sweep does not pretrain
+        # a second sweep, a pretrain and a lone finetune of the config reuse that pair
         assert len(sweep(cfg, grid)) == 16
-        assert len(pair_calls) == 2
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        finetune(cfg, theta_star, seed=0)
+        assert len(pair_calls) == 1
 
     @pytest.mark.parametrize("steps, stacks", [(40, [2, 2, 2]), (150, [1] * 6)])
     def test_a_long_sweep_runs_in_smaller_chunks(self, tmp_path, monkeypatch, steps, stacks):
@@ -570,6 +572,96 @@ class TestBatchedSweep:
         for trace, theta in results:
             assert len(trace) == 3
             assert np.isfinite(trace.data).all() and np.isfinite(theta).all()
+
+
+class TestMemo:
+    """The transfer pair and the Fisher diagonal are each held in a one-entry
+    memo: a process that repeats one config builds each once, and a warm run
+    writes the bytes a cold one writes."""
+
+    @staticmethod
+    def fisher_cfg(tmp_path, **values):
+        return config_from_values(parse_flat_text(FISHER_BASE.format(
+            kind="recadam-coupled", init="pretrained", out=tmp_path / "exp"))).with_values(values)
+
+    @staticmethod
+    def clear():
+        harness._pair_of.cache_clear()
+        harness._fisher_of.cache_clear()
+
+    def test_lone_fisher_runs_build_once_and_write_cold_bytes(self, tmp_path, monkeypatch):
+        cfg = self.fisher_cfg(tmp_path)
+        pair_calls = counted(monkeypatch, "gen_transfer_pair")
+        fisher_calls = counted(monkeypatch, "estimate_diag_fisher")
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        for seed in range(5):
+            finetune(cfg, theta_star, seed, run_dir=tmp_path / "warm" / str(seed))
+        assert (len(pair_calls), len(fisher_calls)) == (1, 1)
+        for seed in range(5):
+            self.clear()
+            finetune(cfg, theta_star, seed, run_dir=tmp_path / "cold" / str(seed))
+            for name in ("trace.csv", "summary.json"):
+                assert ((tmp_path / "warm" / str(seed) / name).read_bytes()
+                        == (tmp_path / "cold" / str(seed) / name).read_bytes())
+        assert (len(pair_calls), len(fisher_calls)) == (6, 6)
+
+    @pytest.mark.parametrize("change", ["theta_star", "penalty.fisher_samples",
+                                        "transfer.seed", "theta_star in place"])
+    def test_a_changed_key_estimates_again(self, tmp_path, monkeypatch, change):
+        cfg = self.fisher_cfg(tmp_path)
+        theta_star = pretrain(cfg, write_outputs=False)[0].copy()
+        fisher_calls = counted(monkeypatch, "estimate_diag_fisher")
+        first = harness.build_penalty(cfg, theta_star)
+        first_fisher = first.fisher_diag.copy()
+        if change == "theta_star":
+            theta_star = theta_star + 0.25
+        elif change == "theta_star in place":
+            theta_star[0] += 0.25
+        else:
+            cfg = cfg.with_values({change: {"penalty.fisher_samples": 65,
+                                            "transfer.seed": 5}[change]})
+        warm = harness.build_penalty(cfg, theta_star)
+        assert len(fisher_calls) == 2
+        assert warm.theta_star is theta_star
+        assert not np.array_equal(warm.fisher_diag, first_fisher)
+        self.clear()
+        cold = harness.build_penalty(cfg, theta_star)
+        assert np.array_equal(cold.fisher_diag, warm.fisher_diag)
+        assert cold.n_obs == warm.n_obs
+
+    def test_a_warm_penalty_equals_a_cold_one(self, tmp_path):
+        cfg = self.fisher_cfg(tmp_path)
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        cold = harness.build_penalty(cfg, theta_star)
+        warm = harness.build_penalty(cfg, theta_star)
+        assert warm is not cold and warm.theta_star is theta_star
+        assert warm.fisher_diag.tobytes() == cold.fisher_diag.tobytes()
+        assert (warm.kind, warm.n_obs) == (cold.kind, cold.n_obs)
+
+    def test_the_memoized_arrays_are_read_only(self, tmp_path):
+        cfg = self.fisher_cfg(tmp_path)
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        with pytest.raises(ValueError):
+            harness.build_penalty(cfg, theta_star).fisher_diag[0] = 1.0
+        with pytest.raises(ValueError):
+            build_transfer_pair(cfg).target.features[0, 0] = 1.0
+        quad = build_transfer_pair(quad_cfg(tmp_path))
+        for array in (quad.source.center, quad.target.curvature):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_a_run_on_another_config_evicts_the_first(self, tmp_path, monkeypatch):
+        cfg_a = self.fisher_cfg(tmp_path)
+        cfg_b = cfg_a.with_values({"transfer.seed": 5})
+        theta_star, _ = pretrain(cfg_a, write_outputs=False)
+        pair_calls = counted(monkeypatch, "gen_transfer_pair")
+        fisher_calls = counted(monkeypatch, "estimate_diag_fisher")
+        finetune(cfg_a, theta_star, seed=0)
+        finetune(cfg_b, theta_star, seed=0)
+        assert harness._pair_of.cache_info().currsize == 1
+        assert harness._fisher_of.cache_info().currsize == 1
+        finetune(cfg_a, theta_star, seed=0)
+        assert (len(pair_calls), len(fisher_calls)) == (2, 3)
 
 
 class TestReport:

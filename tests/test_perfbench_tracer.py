@@ -7,12 +7,14 @@ one of those names has gone; a traced run must count each optimizer step
 once, under the span of the run's own stepper, and each task gradient once,
 on every task kind; a traced report must count one trace read per run and
 the rows it read; a traced ``finetune`` or ``sweep`` command must count one
-checkpoint read.
+checkpoint read; a traced ``finetune`` counts a pair build and a Fisher
+estimate only when the harness memos miss.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recadamlab import harness
@@ -112,6 +114,17 @@ def test_traced_diagonal_fisher_counts_one_per_sample_gradient_call(tmp_path):
         harness.finetune(cfg, theta_star, seed=0)
     assert tracer.calls["recall.estimate_diag_fisher"] == 1
     assert tracer.calls["tasks.per_sample_loglik_grads"] == 1
+
+
+def test_traced_lone_fisher_finetune_counts_each_memo_miss(tmp_path):
+    # the memos call gen_transfer_pair and estimate_diag_fisher by their
+    # harness names: a cold run counts one of each, a warm run none
+    cfg = task_cfg(tmp_path, "logistic-regression", penalty="diagonal-fisher")
+    for expected in (1, 0):
+        with load_tracer().Tracer().installed() as tracer:
+            harness.finetune(cfg, np.zeros(cfg.transfer.dim), seed=0)
+        assert tracer.calls["tasks.gen_transfer_pair"] == expected
+        assert tracer.calls["recall.estimate_diag_fisher"] == expected
 
 
 @pytest.mark.parametrize("command", ["finetune", "sweep"])
