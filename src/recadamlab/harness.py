@@ -4,13 +4,13 @@ Each fine-tuning step logs one trace row describing the state the step
 consumed: step index t, lambda(t), batch target loss and penalty value at
 theta_{t-1}, their lambda-mixture, distance to the pretrained anchor,
 gradient norm, and eta_t.  In memory a trace is one (n_steps, 8) float64
-array; on disk it is CSV with 17-significant-digit floats, written row by
-row, so an aborted run leaves a usable partial trace (a step that fails its
-finiteness checks writes no row).  Its lines end with "\n"; the report
-CSVs end theirs with "\r\n", as the csv module writes them, and their
-curve cells are %.17g floats too.  RunSummary.final_target_loss is
-evaluated on the full dataset at the final parameters; best/steps-to-
-threshold come from the per-step batch losses in the trace.
+array; on disk it is CSV with 17-significant-digit floats, written from memory
+when the run ends, fails or is interrupted by a Python exception, one row per
+step taken (a failing step writes none; a killed process leaves the header
+alone).  Its lines end with "\n"; the report CSVs end theirs with "\r\n",
+as the csv module writes them, and their curve cells are %.17g floats too.
+RunSummary.final_target_loss is evaluated on the full dataset at the final
+parameters; best/steps-to-threshold come from the trace's batch losses.
 
 One training loop, _run_loop, advances a stack of runs at once: theta and the
 Adam moments are (S, d) arrays with one run per row.  pretrain and finetune are
@@ -20,6 +20,7 @@ the same bytes a lone finetune writes.  One-entry memos hold the transfer pair
 and any Fisher diagonal: a process builds each once per key.
 """
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -48,6 +49,7 @@ from .tasks import TransferPair, batch_stream, gen_transfer_pair
 TRACE_COLUMNS = ("step", "lambda", "target_loss", "penalty_value",
                  "composite_loss", "dist_to_pretrained", "grad_norm", "eta")
 _ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # a trace.csv row
+_ROW_BYTES, _BLOCK = _ROW_FORMAT.encode(), 64  # TraceWriter formats _BLOCK rows per %
 _STEP, _LAMBDA, _LOSS, _PENALTY, _COMPOSITE, _DIST, _GRAD_NORM, _ETA = range(len(TRACE_COLUMNS))
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
@@ -73,16 +75,24 @@ class TrainingTrace:
 
 
 class TraceWriter:
-    """Streams trace rows to CSV as they are produced."""
+    """A trace.csv file: the header on opening, then a run's rows at its end, in write_rows."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self._fh = open(self.path, "w", newline="")
-        self._fh.write(",".join(TRACE_COLUMNS) + "\n")
+        self._fh = open(self.path, "wb")
+        self._fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
 
     def write_row(self, row) -> None:
         """One row, a sequence with one number per column."""
-        self._fh.write(_ROW_FORMAT % tuple(row))
+        self._fh.write(_ROW_BYTES % tuple(row))
+
+    def write_rows(self, rows: np.ndarray) -> None:
+        """The rows of an (n, 8) array: _BLOCK rows per % call, then the rest one by one."""
+        whole = len(rows) - len(rows) % _BLOCK
+        for block in rows[:whole].reshape(-1, _BLOCK * len(TRACE_COLUMNS)):
+            self._fh.write(_ROW_BYTES * _BLOCK % tuple(block.tolist()))
+        for row in rows[whole:].tolist():
+            self.write_row(row)
 
     def close(self) -> None:
         self._fh.close()
@@ -181,7 +191,7 @@ _STEPPERS = {
     "recadam-coupled": (True, lambda th, st, cfg, wd, eta, g, lam, pg:
                         coupled_recadam_step(th, st, cfg, eta, g, lam, pg)),
 }
-_SWEEP_CHUNK = 64  # most runs a sweep advances at once: bounds its open trace files
+_SWEEP_CHUNK = 64  # most runs a sweep advances at once: bounds the trace files it holds open
 _TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB, twice that as a run fails
 _REPORT_KEYS = dict.fromkeys(  # the config.json keys report reads, all strings
     "finetune.optimizer.kind finetune.init shifting.k shifting.t0 penalty.gamma".split(), str)
@@ -192,13 +202,13 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     """The one training loop: it advances S runs at once, one per row of
     theta0 (S, d).  Run i draws its batches from batch_rngs[i], follows
     anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma),
-    and writes each of its rows to the CSV file trace_paths[i] after the
-    step (trace_paths=None keeps the traces in memory only).  Each row of
-    every (S, d) array is bit-identical to the run alone.  Returns per run
-    (trace, final theta), or a NumericError for a run whose loss, gradient
-    or penalty gradient was not finite at some step t: its trace ends at
-    step t - 1, its file is closed and it leaves the stack, while the other
-    runs go on."""
+    and keeps its rows in memory until it ends, fails, or an exception
+    passes through; they then go to the CSV file trace_paths[i] (None: no
+    files).  Each row of every (S, d) array is bit-identical to the run
+    alone.  Returns per run (trace, final theta), or a NumericError for a
+    run whose loss, gradient or penalty gradient was not finite at some
+    step t: its trace ends at step t - 1, and it leaves the stack while the
+    other runs go on."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -221,6 +231,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     stacked = size == 0 and len(theta) > 1
     grad = np.empty_like(theta)
     results = [None] * len(theta)
+    done = 0  # the steps every run in the stack has taken
+    passing = True  # until the loop ends, an exception may be in flight
     try:
         for i, path in enumerate(trace_paths or ()):
             writers[i] = TraceWriter(path)
@@ -245,7 +257,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                                         row[:, _LAMBDA:_LAMBDA + 1], pgrad)
                     break
                 except NumericError:
-                    keep = _retire(t, row, grad, pgrad, runs, results, writers)
+                    keep = _retire(t, data, grad, pgrad, runs, results, writers)
                     if keep.all():  # a failure _retire cannot place: going again would loop
                         raise
                     runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
@@ -257,24 +269,31 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     row = data[:, t - 1]
             if not runs:
                 break
-            for i, values in enumerate(row.tolist()):
-                row[i, _COMPOSITE] = values[_COMPOSITE] = composite_loss(
-                    values[_LAMBDA], values[_LOSS], values[_PENALTY])
-                if writers[i] is not None:
-                    writers[i].write_row(values)
-    finally:
-        for writer in filter(None, writers):
-            writer.close()
+            done = t
+        passing = False
+    finally:  # finish every run even if a write fails; a failed write masks no exception in flight
+        with (contextlib.suppress(Exception) if passing else contextlib.nullcontext()), \
+                contextlib.ExitStack() as finishing:
+            for rows, writer in zip(data[:, :done], writers):
+                finishing.callback(_finish, rows, writer)
     for i, run in enumerate(runs):
         results[run] = (TrainingTrace(data[i]), theta[i])
     return results
 
 
-def _retire(t, row, grad, pgrad, runs, results, writers):
+def _finish(rows, writer) -> None:
+    """A run's exit: fill its rows' composite column; write them to its file and close it."""
+    with contextlib.nullcontext() if writer is None else contextlib.closing(writer):
+        rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
+        if writer is not None:
+            writer.write_rows(rows)
+
+
+def _retire(t, data, grad, pgrad, runs, results, writers):
     """Record a NumericError for each run with a non-finite loss, gradient
     or penalty gradient at step t, with the message a lone run raises, and
-    close its trace file, if any; returns the mask of the rows that go on."""
-    checks = [(f"non-finite loss at step {t}", np.isfinite(row[:, _LOSS])),
+    _finish it with its rows before step t; returns the mask of runs kept."""
+    checks = [(f"non-finite loss at step {t}", np.isfinite(data[:, t - 1, _LOSS])),
               ("non-finite values in gradient", np.isfinite(grad).all(axis=1))]
     if pgrad is not None:
         checks.append(("non-finite values in penalty gradient", np.isfinite(pgrad).all(axis=1)))
@@ -282,8 +301,7 @@ def _retire(t, row, grad, pgrad, runs, results, writers):
     for message, finite in checks:
         for i in np.flatnonzero(keep & ~finite):
             results[runs[i]] = NumericError(message, step=t)
-            if writers[i] is not None:
-                writers[i].close()
+            _finish(data[i, :t - 1], writers[i])
         keep &= finite
     return keep
 
@@ -430,8 +448,8 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     of at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows (at
     least one run a chunk); each run's files are the bytes a lone finetune of
     its config and seed writes.  A run that fails is recorded as failed:stepN
-    in the summary table and skipped; the others go on.  A sweep killed
-    mid-chunk leaves partial traces for every run of that chunk.
+    in the summary table and skipped; the others go on.  A sweep stopped
+    mid-chunk by an exception writes the steps that chunk's runs took.
     best_config.txt names the (k, t0, gamma) of the lowest median
     final_target_loss; a sweep with no ok run removes an earlier one.
     """

@@ -9,6 +9,8 @@ plain fine-tuning from step t0 + 1 onward.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -34,11 +36,10 @@ def lambda_at(sched: AnnealSchedule, t: int) -> float:
     return e / (1.0 + e)
 
 
-def composite_loss(lambda_t: float, loss_t: float, loss_s: float) -> float:
-    """Convex combination lambda * loss_t + (1 - lambda) * loss_s.
-
-    Trace logging only; gradient flow happens inside the steppers.
-    """
-    if not (0.0 <= lambda_t <= 1.0):
+def composite_loss(lambda_t, loss_t, loss_s):
+    """Convex combination lambda * loss_t + (1 - lambda) * loss_s, of floats or, element by
+    element, of arrays.  Trace logging only; gradient flow happens inside the steppers."""
+    if not np.all((0.0 <= lambda_t) & (lambda_t <= 1.0)):  # a NaN fails
         raise ValueError(f"lambda_t must lie in [0, 1], got {lambda_t}")
-    return lambda_t * loss_t + (1.0 - lambda_t) * loss_s
+    with np.errstate(all="ignore"):  # silent, as float arithmetic is: 0 * inf is NaN
+        return lambda_t * loss_t + (1.0 - lambda_t) * loss_s

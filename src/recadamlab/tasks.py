@@ -82,7 +82,7 @@ class Task:
         idx = idx.astype(np.intp, copy=False)
         if idx.view(np.uintp).max() >= labels.size:  # a negative index views as >= 2**63
             raise InvalidBatchError(f"batch indices outside [0, {labels.size})")
-        return self.features[idx], labels[idx]
+        return self.features.take(idx, axis=0), labels.take(idx)
 
     def per_sample_loglik_grads(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise UnsupportedTaskError(f"{self.kind} has no per-sample log-likelihood")

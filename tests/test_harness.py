@@ -170,6 +170,20 @@ class TestFinetune:
         assert trace.data.shape == reloaded.data.shape == (5, len(TRACE_COLUMNS))
         assert trace.data.tobytes() == reloaded.data.tobytes()
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 130])
+    def test_write_rows_gives_the_bytes_of_one_format_a_row(self, tmp_path, n_rows):
+        # whole 64-row blocks go through one % each, the rest row by row;
+        # the rows cycle through the edge floats in every column but step
+        edges = [0.0, -0.0, 5e-324, 1e16, 1e17, float("nan"), float("inf"), float("-inf")]
+        rows = np.resize(np.array(edges), (n_rows, len(TRACE_COLUMNS)))
+        rows[:, 0] = np.arange(1, n_rows + 1)
+        writer = harness.TraceWriter(tmp_path / "trace.csv")
+        writer.write_rows(rows)
+        writer.close()
+        expected = "".join(harness._ROW_FORMAT % tuple(r) for r in rows.tolist()).encode()
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            ",".join(TRACE_COLUMNS) + "\n").encode() + expected
+
     def test_summary_fields(self, tmp_path):
         cfg = quad_cfg(tmp_path)
         cfg = cfg.with_values({"finetune.loss_threshold": 1e-3})
@@ -334,6 +348,19 @@ def counted(monkeypatch, name):
 
     monkeypatch.setattr(harness, name, wrapper)
     return calls
+
+
+def recorded_writers(monkeypatch):
+    """Every harness.TraceWriter opened from now on, in order."""
+    writers = []
+
+    class Recorded(harness.TraceWriter):
+        def __init__(self, path):
+            super().__init__(path)
+            writers.append(self)
+
+    monkeypatch.setattr(harness, "TraceWriter", Recorded)
+    return writers
 
 
 def assert_runs_match_lone_finetunes(cfg, theta_star, lone_root):
@@ -521,7 +548,7 @@ class TestBatchedSweep:
             assert len(trace) == 5
 
     def test_an_error_mid_run_leaves_the_rows_before_it(self, tmp_path, monkeypatch):
-        # each row goes out after its step; an interrupted run leaves every step it took
+        # the rows are written as the exception passes: every step the run took
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 100,
                                     "finetune.optimizer.kind": "adam"})
         theta_star, _ = pretrain(cfg)
@@ -538,6 +565,65 @@ class TestBatchedSweep:
         with pytest.raises(KeyboardInterrupt):
             finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "run")
         assert len(read_trace(tmp_path / "run" / "trace.csv")) == 99
+
+    def _interrupt_sweep_at_step_100(self, tmp_path, monkeypatch):
+        """A three-run quadratic sweep whose stepper raises KeyboardInterrupt
+        at batched step 100, which leaves every trace file closed; returns
+        the run directories."""
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 100})
+        pretrain(cfg)
+        real = harness.recadam_step
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 100:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(harness, "recadam_step", interrupted)
+        writers = recorded_writers(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+        run_dirs = sorted((Path(cfg.output_dir) / "runs").iterdir())
+        assert len(run_dirs) == len(writers) == 3
+        assert all(writer._fh.closed for writer in writers)
+        return run_dirs
+
+    def test_an_interrupted_sweep_writes_every_run_up_to_it(self, tmp_path, monkeypatch):
+        run_dirs = self._interrupt_sweep_at_step_100(tmp_path, monkeypatch)
+        for run_dir in run_dirs:
+            assert len(read_trace(run_dir / "trace.csv")) == 99
+            assert not (run_dir / "summary.json").exists()
+
+    def test_a_failed_write_hides_no_interrupt_and_closes_every_file(self, tmp_path,
+                                                                     monkeypatch):
+        # the second run's write fails: the other runs are still written, every
+        # file is closed, and the KeyboardInterrupt passing through is what raises
+        real = harness.TraceWriter.write_rows
+
+        def failing(self, rows):
+            if self.path.parent.name.endswith("s1"):
+                raise OSError("disk full")
+            real(self, rows)
+
+        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        run_dirs = self._interrupt_sweep_at_step_100(tmp_path, monkeypatch)
+        assert [len(read_trace(d / "trace.csv")) for d in run_dirs] == [99, 0, 99]
+
+    def test_a_failed_write_at_the_end_raises_and_closes_every_file(self, tmp_path,
+                                                                    monkeypatch):
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        pretrain(cfg)
+
+        def failing(self, rows):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        writers = recorded_writers(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+        assert len(writers) == 3 and all(writer._fh.closed for writer in writers)
 
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):

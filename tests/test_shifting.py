@@ -73,3 +73,17 @@ def test_composite_loss():
         composite_loss(1.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         composite_loss(-0.1, 1.0, 1.0)
+
+
+def test_composite_loss_of_columns_is_the_scalar_call_per_element():
+    rng = np.random.default_rng(0)
+    lam = np.concatenate([[0.0, 1.0, 0.5], rng.random(200)])
+    loss_t = np.concatenate([[np.inf, 1e308, -0.0], rng.normal(size=200) * 1e3])
+    loss_s = np.concatenate([[2.0, 1e308, 0.0], rng.exponential(size=200)])
+    mixed = composite_loss(lam, loss_t, loss_s)
+    scalar = [composite_loss(*values) for values in zip(lam.tolist(), loss_t.tolist(),
+                                                         loss_s.tolist())]
+    assert mixed.tobytes() == np.array(scalar).tobytes()
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError):
+            composite_loss(np.array([0.5, bad]), np.ones(2), np.ones(2))
