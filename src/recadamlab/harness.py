@@ -1,23 +1,23 @@
 r"""Experiment orchestration: pretrain, finetune, sweeps, and reports.
 
-Each fine-tuning step logs one trace row describing the state the step
-consumed: step index t, lambda(t), batch target loss and penalty value at
-theta_{t-1}, their lambda-mixture, distance to the pretrained anchor,
-gradient norm, and eta_t.  In memory a trace is one (n_steps, 8) float64
-array; on disk it is CSV with 17-significant-digit floats, written from memory
-when the run ends, fails or is interrupted by a Python exception, one row per
-step taken (a failing step writes none; a killed process leaves the header
-alone).  Its lines end with "\n"; the report CSVs end theirs with "\r\n",
-as the csv module writes them, and their curve cells are %.17g floats too.
-RunSummary.final_target_loss is evaluated on the full dataset at the final
-parameters; best/steps-to-threshold come from the trace's batch losses.
+Each fine-tuning step logs one trace row describing the state the step consumed: step
+index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
+lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
+a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
+floats, written from memory when the run ends, fails or is interrupted by a Python
+exception, one row per step taken (a failing step writes none; a killed process leaves
+the header alone).  Its lines end with "\n"; the report CSVs end theirs with "\r\n", as
+the csv module writes them, and their curve cells are %.17g floats too.
+RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
+best/steps-to-threshold come from the trace's batch losses.
 
-One training loop, _run_loop, advances a stack of runs at once: theta and the
-Adam moments are (S, d) arrays with one run per row.  pretrain and finetune are
-its S = 1 case; sweep runs its grid through it in chunks of at most
-_SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and every run's files are
-the same bytes a lone finetune writes.  One-entry memos hold the transfer pair
-and any Fisher diagonal: a process builds each once per key.
+One training loop, _run_loop, advances a stack of runs at once: theta and the Adam
+moments are (S, d) arrays with one run per row.  A step computes only what the update
+reads; the penalty, distance and gradient-norm columns are filled a block of at most
+_BLOCK rows at a time.  pretrain and finetune are its S = 1 case; sweep runs its grid
+through it in chunks of at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and
+every run's files are the same bytes a lone finetune writes.  One-entry memos hold the
+transfer pair and any Fisher diagonal: a process builds each once per key.
 """
 
 import contextlib
@@ -38,7 +38,7 @@ from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
-from .recall import PenaltyModel, _penalty_terms, estimate_diag_fisher
+from .recall import PenaltyModel, _penalty_grad, _penalty_values, estimate_diag_fisher
 # penalty_loss and penalty_grad are not called here, but perfbench/tracer.py
 # wraps them under these names, so they stay importable from this module
 from .recall import penalty_grad, penalty_loss  # noqa: F401
@@ -204,11 +204,12 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma),
     and keeps its rows in memory until it ends, fails, or an exception
     passes through; they then go to the CSV file trace_paths[i] (None: no
-    files).  Each row of every (S, d) array is bit-identical to the run
-    alone.  Returns per run (trace, final theta), or a NumericError for a
-    run whose loss, gradient or penalty gradient was not finite at some
-    step t: its trace ends at step t - 1, and it leaves the stack while the
-    other runs go on."""
+    files).  A step computes only what the update reads; _fill makes the
+    other columns from a block of at most _BLOCK rows of the steps' theta
+    and gradient.  Each row of every (S, d) array is bit-identical to the run
+    alone.  Returns per run (trace, final theta), or a NumericError for a run
+    whose loss, gradient or penalty gradient was not finite at some step t:
+    its trace ends at step t - 1, and it leaves the stack while the others go on."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -218,9 +219,9 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     etas = [schedule_multiplier(schedule, t) for t in range(1, steps + 1)]
     data[:, :, _ETA] = etas
     data[:, :, _LAMBDA] = 1.0
-    for i, anneal in enumerate(anneals if recall else ()):
-        data[i, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
-    gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, dtype=np.float64)
+    for anneal, rows in _group(range(len(theta)) if recall else (), lambda i: anneals[i]).items():
+        data[rows, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
+    gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, np.float64)[:, None]
     # per row: the run, its batch stream and its trace writer (None: no dataset, no file)
     runs = list(range(len(theta)))
     size = task.dataset_size()
@@ -229,25 +230,26 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
-    grad = np.empty_like(theta)
+    thetas, grads = np.empty((2, len(theta), max(1, _BLOCK // len(theta)), theta.shape[1]))
     results = [None] * len(theta)
-    done = 0  # the steps every run in the stack has taken
+    done = filled = 0  # the steps every run in the stack has taken, and has filled
     passing = True  # until the loop ends, an exception may be in flight
     try:
         for i, path in enumerate(trace_paths or ()):
             writers[i] = TraceWriter(path)
         for t in range(1, steps + 1):
-            row = data[:, t - 1]
+            if t - 1 - filled == thetas.shape[1]:  # a full block
+                _fill(data[:, filled:t - 1], thetas, grads, pen, gammas)
+                filled = t - 1
+            row, grad = data[:, t - 1], grads[:, t - 1 - filled]
+            thetas[:, t - 1 - filled] = theta
             if stacked:
-                row[:, _LOSS], grad = task.loss_and_grad(theta)
+                row[:, _LOSS], grad[:] = task.loss_and_grad(theta)
             else:
                 for i, stream in enumerate(streams):
                     row[i, _LOSS], grad[i] = task.loss_and_grad(
                         theta[i], None if stream is None else next(stream))
-            pval, pgrad, dist = _penalty_terms(pen, theta, recall, gammas)
-            row[:, _PENALTY] = pval
-            row[:, _DIST] = dist
-            np.sqrt((grad * grad).sum(axis=1), out=row[:, _GRAD_NORM])
+            pgrad = _penalty_grad(pen, theta, gammas) if recall else None
             while runs:  # a failing step retires its failing rows and goes again with the rest
                 try:
                     if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
@@ -257,16 +259,17 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                                         row[:, _LAMBDA:_LAMBDA + 1], pgrad)
                     break
                 except NumericError:
+                    _fill(data[:, filled:t], thetas, grads, pen, gammas)  # a new block at t + 1
                     keep = _retire(t, data, grad, pgrad, runs, results, writers)
                     if keep.all():  # a failure _retire cannot place: going again would loop
                         raise
                     runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
                                               for per_run in (runs, streams, writers))
-                    theta, grad, data, gammas, m, v = (
-                        array[keep] for array in (theta, grad, data, gammas, state.m, state.v))
+                    theta, grad, data, gammas, thetas, grads, m, v = (array[keep] for array in (
+                        theta, grad, data, gammas, thetas, grads, state.m, state.v))
                     state = AdamState(state.t, m, v)
                     pgrad = None if pgrad is None else pgrad[keep]
-                    row = data[:, t - 1]
+                    row, filled = data[:, t - 1], t
             if not runs:
                 break
             done = t
@@ -274,11 +277,22 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     finally:  # finish every run even if a write fails; a failed write masks no exception in flight
         with (contextlib.suppress(Exception) if passing else contextlib.nullcontext()), \
                 contextlib.ExitStack() as finishing:
-            for rows, writer in zip(data[:, :done], writers):
-                finishing.callback(_finish, rows, writer)
+            try:
+                _fill(data[:, filled:done], thetas, grads, pen, gammas)
+                filled = done
+            finally:  # a fill that fails leaves its steps out of every file
+                for rows, writer in zip(data[:, :filled], writers):
+                    finishing.callback(_finish, rows, writer)
     for i, run in enumerate(runs):
         results[run] = (TrainingTrace(data[i]), theta[i])
     return results
+
+
+def _fill(rows, thetas, grads, pen, gammas) -> None:
+    """Fill the penalty, distance and gradient-norm columns of rows (S, n, 8), n steps at once."""
+    n = rows.shape[1]
+    rows[:, :, _PENALTY], rows[:, :, _DIST] = _penalty_values(pen, thetas[:, :n], gammas)
+    rows[:, :, _GRAD_NORM] = np.sqrt((grads[:, :n] * grads[:, :n]).sum(axis=-1))
 
 
 def _finish(rows, writer) -> None:

@@ -64,35 +64,41 @@ class PenaltyModel:
         return cls("diagonal-fisher", theta_star, fisher_diag=fisher_diag, n_obs=n_obs)
 
 
-def _penalty_terms(pen: PenaltyModel, theta: np.ndarray, with_grad: bool = True,
-                   gamma: Optional[np.ndarray] = None):
-    """For a stack of runs theta (S, d), one per row: (penalty values (S,),
-    penalty gradients (S, d) or None, ||theta - theta_star|| (S,)), all from
-    one difference array.  gamma (S,) gives each row its own isotropic
-    coefficient in place of pen.gamma."""
-    if theta.shape[1:] != pen.theta_star.shape:
-        raise DimensionError(f"length mismatch: {theta.shape[1:]} vs {pen.theta_star.shape}")
+def _penalty_parts(pen: PenaltyModel, theta: np.ndarray, gamma=None):
+    """(diff = theta - theta_star, diff weighted by the curvature, scale) for runs theta
+    (..., d): the gradient is weighted * scale, the value 0.5 * scale * sum(diff * weighted)
+    on the last axis.  The scale is n_obs, pen.gamma, or gamma broadcast to the result."""
+    if theta.shape[-1:] != pen.theta_star.shape:
+        raise DimensionError(f"length mismatch: {theta.shape[-1:]} vs {pen.theta_star.shape}")
     diff = theta - pen.theta_star
-    sq_norm = (diff * diff).sum(axis=1)
-    dist = np.sqrt(sq_norm)
     if pen.kind == "none":
-        return np.zeros(len(theta)), np.zeros(theta.shape) if with_grad else None, dist
+        return diff, None, None
     if pen.kind == "isotropic":
-        if gamma is None:
-            gamma = np.full(len(theta), pen.gamma)
-        return 0.5 * gamma * sq_norm, gamma[:, None] * diff if with_grad else None, dist
-    weighted = pen.fisher_diag * diff
-    diff *= weighted
-    return (0.5 * pen.n_obs * diff.sum(axis=1),
-            np.multiply(weighted, pen.n_obs, out=weighted) if with_grad else None, dist)
+        return diff, diff, pen.gamma if gamma is None else gamma
+    return diff, pen.fisher_diag * diff, pen.n_obs
+
+
+def _penalty_grad(pen: PenaltyModel, theta: np.ndarray, gamma=None) -> np.ndarray:
+    """The penalty gradients (S, d) of a stack of runs theta (S, d)."""
+    _, weighted, scale = _penalty_parts(pen, theta, gamma)
+    return np.zeros_like(theta) if weighted is None else np.multiply(weighted, scale, out=weighted)
+
+
+def _penalty_values(pen: PenaltyModel, theta: np.ndarray, gamma=None):
+    """(penalty values, ||theta - theta_star||) of runs theta (..., d), per row."""
+    diff, weighted, scale = _penalty_parts(pen, theta, gamma)
+    sq_norm = (diff * diff).sum(axis=-1)
+    values = (np.zeros(sq_norm.shape) if weighted is None else 0.5 * scale * (
+        sq_norm if weighted is diff else (diff * weighted).sum(axis=-1)))
+    return values, np.sqrt(sq_norm)
 
 
 def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
-    return float(_penalty_terms(pen, theta[None], with_grad=False)[0][0])
+    return float(_penalty_values(pen, theta)[0])
 
 
 def penalty_grad(pen: PenaltyModel, theta: np.ndarray) -> np.ndarray:
-    return _penalty_terms(pen, theta[None])[1][0]
+    return _penalty_grad(pen, theta[None])[0]
 
 
 def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,

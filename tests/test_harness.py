@@ -363,6 +363,19 @@ def recorded_writers(monkeypatch):
     return writers
 
 
+def recorded_run(run_dir):
+    """(run config, seed) from the config.json in run_dir."""
+    flat = json.loads((Path(run_dir) / "config.json").read_text())
+    seed = int(flat.pop("run_seed"))
+    return config_from_values(parse_flat_text(
+        "\n".join(f"{key}={value}" for key, value in flat.items()))), seed
+
+
+def leading_rows(path, n):
+    """The bytes of the header and the first n rows of the trace file path."""
+    return b"".join(Path(path).read_bytes().splitlines(keepends=True)[:n + 1])
+
+
 def assert_runs_match_lone_finetunes(cfg, theta_star, lone_root):
     """Each run of the sweep in cfg.output_dir holds the same trace.csv,
     summary.json and config.json bytes as a lone finetune of its recorded
@@ -376,10 +389,7 @@ def assert_runs_match_lone_finetunes(cfg, theta_star, lone_root):
     for row in rows:
         run_dir = out / "runs" / harness._run_id(float(row["k"]), int(row["t0"]),
                                                  float(row["gamma"]), int(row["seed"]))
-        flat = json.loads((run_dir / "config.json").read_text())
-        seed = int(flat.pop("run_seed"))
-        run_cfg = config_from_values(parse_flat_text(
-            "\n".join(f"{key}={value}" for key, value in flat.items())))
+        run_cfg, seed = recorded_run(run_dir)
         lone = lone_root / run_dir.name
         try:
             finetune(run_cfg, theta_star, seed, run_dir=lone)
@@ -492,6 +502,14 @@ class TestBatchedSweep:
         finetune(cfg, theta_star, seed=0)
         assert len(pair_calls) == 1
 
+    def test_sweep_builds_each_lambda_column_once(self, tmp_path, monkeypatch):
+        # 16 runs share 4 schedules (k, t0): 4 columns of 20 steps, not 16
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        grid = {"k": (0.1, 0.2), "t0": (5, 10), "gamma": (1.0, 2.0), "seeds": (0, 1)}
+        lambda_calls = counted(monkeypatch, "lambda_at")
+        assert len(sweep(cfg, grid)) == 16
+        assert len(lambda_calls) == 4 * 20
+
     @pytest.mark.parametrize("steps, stacks", [(40, [2, 2, 2]), (150, [1] * 6)])
     def test_a_long_sweep_runs_in_smaller_chunks(self, tmp_path, monkeypatch, steps, stacks):
         # a chunk holds at most _TRACE_ROW_BUDGET trace rows, and at least one run
@@ -552,6 +570,7 @@ class TestBatchedSweep:
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 100,
                                     "finetune.optimizer.kind": "adam"})
         theta_star, _ = pretrain(cfg)
+        finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "whole")
         real = harness.adam_step
         calls = []
 
@@ -564,7 +583,8 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "adam_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "run")
-        assert len(read_trace(tmp_path / "run" / "trace.csv")) == 99
+        assert ((tmp_path / "run" / "trace.csv").read_bytes()
+                == leading_rows(tmp_path / "whole" / "trace.csv", 99))
 
     def _interrupt_sweep_at_step_100(self, tmp_path, monkeypatch):
         """A three-run quadratic sweep whose stepper raises KeyboardInterrupt
@@ -591,9 +611,15 @@ class TestBatchedSweep:
         return run_dirs
 
     def test_an_interrupted_sweep_writes_every_run_up_to_it(self, tmp_path, monkeypatch):
+        # each file holds the first 99 rows of its run left alone, byte for byte
         run_dirs = self._interrupt_sweep_at_step_100(tmp_path, monkeypatch)
+        monkeypatch.undo()
+        theta_star = read_vector(run_dirs[0].parents[1] / "theta_star.bin")
         for run_dir in run_dirs:
-            assert len(read_trace(run_dir / "trace.csv")) == 99
+            run_cfg, seed = recorded_run(run_dir)
+            finetune(run_cfg, theta_star, seed, run_dir=tmp_path / "whole" / run_dir.name)
+            assert ((run_dir / "trace.csv").read_bytes()
+                    == leading_rows(tmp_path / "whole" / run_dir.name / "trace.csv", 99))
             assert not (run_dir / "summary.json").exists()
 
     def test_a_failed_write_hides_no_interrupt_and_closes_every_file(self, tmp_path,

@@ -3,7 +3,7 @@ import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_terms,
+from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_grad, _penalty_values,
                                estimate_diag_fisher, penalty_grad, penalty_loss)
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               gen_task)
@@ -252,12 +252,12 @@ class TestPurity:
     def test_penalty_terms_write_no_input(self, kind, rows):
         rng = np.random.default_rng(0)
         theta, theta_star, fisher = rng.normal(size=(rows, 5)), rng.normal(size=5), rng.random(5)
-        gamma = np.full(rows, 3.0)
+        gamma = np.full((rows, 1), 3.0)
         pen = PenaltyModel(kind, theta_star, gamma=2.0, fisher_diag=fisher, n_obs=7)
         inputs = [theta, theta_star, fisher, gamma]
         before = read_only_copies(inputs)
-        outputs = [*_penalty_terms(pen, theta, True, gamma),
-                   *_penalty_terms(pen, theta, False)[::2]]
+        outputs = [*_penalty_values(pen, theta[:, None], gamma), _penalty_grad(pen, theta, gamma),
+                   *_penalty_values(pen, theta), _penalty_grad(pen, theta)]
         if rows == 1:
             outputs.append(penalty_grad(pen, theta[0]))
             assert penalty_loss(pen, theta[0]) == outputs[3][0]
