@@ -4,10 +4,11 @@ Each fine-tuning step logs one trace row describing the state the step consumed:
 index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
 lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
 a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
-floats, written from memory when the run ends, fails or is interrupted by a Python
-exception, one row per step taken (a failing step writes none; a killed process leaves
-the header alone).  Its lines end with "\n"; the report CSVs end theirs with "\r\n", as
-the csv module writes them, and their curve cells are %.17g floats too.
+floats, created and written in one go, by _finish alone, when the run's stack exits or a
+Python exception passes out of it, one row per step taken (a failing step writes none); a
+killed process leaves no trace.csv for the runs it was training.  Its lines end with
+"\n"; the report CSVs end theirs with "\r\n", as the csv module writes them, and their
+curve cells are %.17g floats too.
 RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
 best/steps-to-threshold come from the trace's batch losses.
 
@@ -38,10 +39,10 @@ from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
-from .recall import PenaltyModel, _penalty_grad, _penalty_values, estimate_diag_fisher
-# penalty_loss and penalty_grad are not called here, but perfbench/tracer.py
-# wraps them under these names, so they stay importable from this module
-from .recall import penalty_grad, penalty_loss  # noqa: F401
+from .recall import PenaltyModel, _penalty_values, estimate_diag_fisher, penalty_grad
+# penalty_loss is not called here, but perfbench/tracer.py wraps it under
+# this name, so it stays importable from this module
+from .recall import penalty_loss  # noqa: F401
 from .shifting import composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import TransferPair, batch_stream, gen_transfer_pair
@@ -75,7 +76,7 @@ class TrainingTrace:
 
 
 class TraceWriter:
-    """A trace.csv file: the header on opening, then a run's rows at its end, in write_rows."""
+    """A trace.csv file: the header on opening, then a run's rows, in write_rows."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -191,7 +192,7 @@ _STEPPERS = {
     "recadam-coupled": (True, lambda th, st, cfg, wd, eta, g, lam, pg:
                         coupled_recadam_step(th, st, cfg, eta, g, lam, pg)),
 }
-_SWEEP_CHUNK = 64  # most runs a sweep advances at once: bounds the trace files it holds open
+_SWEEP_CHUNK = 64  # most runs a sweep stacks: bounds per-run state, e.g. n_rows permutations
 _TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB, twice that as a run fails
 _REPORT_KEYS = dict.fromkeys(  # the config.json keys report reads, all strings
     "finetune.optimizer.kind finetune.init shifting.k shifting.t0 penalty.gamma".split(), str)
@@ -201,15 +202,15 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
               weight_decay=0.0, schedule=ScheduleMultiplier(), anneals=None, gammas=None):
     """The one training loop: it advances S runs at once, one per row of
     theta0 (S, d).  Run i draws its batches from batch_rngs[i], follows
-    anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma),
-    and keeps its rows in memory until it ends, fails, or an exception
-    passes through; they then go to the CSV file trace_paths[i] (None: no
-    files).  A step computes only what the update reads; _fill makes the
-    other columns from a block of at most _BLOCK rows of the steps' theta
-    and gradient.  Each row of every (S, d) array is bit-identical to the run
-    alone.  Returns per run (trace, final theta), or a NumericError for a run
-    whose loss, gradient or penalty gradient was not finite at some step t:
-    its trace ends at step t - 1, and it leaves the stack while the others go on."""
+    anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma).
+    No file exists while the stack trains: at its exit, with its result or an
+    exception, _finish writes every run's rows to trace_paths[i] (None: no files).
+    A step computes only what the update reads; _fill makes the other columns
+    from a block of at most _BLOCK rows of the steps' theta and gradient.  Each
+    row of every (S, d) array is bit-identical to the run alone.  Returns per
+    run (trace, final theta), or a NumericError for a run whose loss, gradient
+    or penalty gradient was not finite at some step t: its trace ends at step
+    t - 1, and it leaves the stack while the others go on."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -222,11 +223,12 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     for anneal, rows in _group(range(len(theta)) if recall else (), lambda i: anneals[i]).items():
         data[rows, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
     gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, np.float64)[:, None]
-    # per row: the run, its batch stream and its trace writer (None: no dataset, no file)
+    # per row: the run, its batch stream and its trace path (None: no dataset, no file)
     runs = list(range(len(theta)))
     size = task.dataset_size()
     streams = [batch_stream(size, batch_size, rng) if size > 0 else None for rng in batch_rngs]
-    writers = [None] * len(theta)
+    paths = list(trace_paths or [None] * len(theta))
+    retired = []  # (rows, trace path) of each run that failed, finished at the exit
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
@@ -235,8 +237,6 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     done = filled = 0  # the steps every run in the stack has taken, and has filled
     passing = True  # until the loop ends, an exception may be in flight
     try:
-        for i, path in enumerate(trace_paths or ()):
-            writers[i] = TraceWriter(path)
         for t in range(1, steps + 1):
             if t - 1 - filled == thetas.shape[1]:  # a full block
                 _fill(data[:, filled:t - 1], thetas, grads, pen, gammas)
@@ -249,7 +249,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 for i, stream in enumerate(streams):
                     row[i, _LOSS], grad[i] = task.loss_and_grad(
                         theta[i], None if stream is None else next(stream))
-            pgrad = _penalty_grad(pen, theta, gammas) if recall else None
+            pgrad = penalty_grad(pen, theta, gammas) if recall else None
             while runs:  # a failing step retires its failing rows and goes again with the rest
                 try:
                     if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
@@ -260,11 +260,12 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     break
                 except NumericError:
                     _fill(data[:, filled:t], thetas, grads, pen, gammas)  # a new block at t + 1
-                    keep = _retire(t, data, grad, pgrad, runs, results, writers)
+                    keep = _retire(t, data, grad, pgrad, runs, results)
                     if keep.all():  # a failure _retire cannot place: going again would loop
                         raise
-                    runs, streams, writers = ([x for x, k in zip(per_run, keep) if k]
-                                              for per_run in (runs, streams, writers))
+                    retired += zip(data[~keep, :t - 1], itertools.compress(paths, ~keep))
+                    runs, streams, paths = ([x for x, k in zip(per_run, keep) if k]
+                                            for per_run in (runs, streams, paths))
                     theta, grad, data, gammas, thetas, grads, m, v = (array[keep] for array in (
                         theta, grad, data, gammas, thetas, grads, state.m, state.v))
                     state = AdamState(state.t, m, v)
@@ -281,8 +282,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 _fill(data[:, filled:done], thetas, grads, pen, gammas)
                 filled = done
             finally:  # a fill that fails leaves its steps out of every file
-                for rows, writer in zip(data[:, :filled], writers):
-                    finishing.callback(_finish, rows, writer)
+                for rows, path in [*retired, *zip(data[:, :filled], paths)]:
+                    finishing.callback(_finish, rows, path)
     for i, run in enumerate(runs):
         results[run] = (TrainingTrace(data[i]), theta[i])
     return results
@@ -295,18 +296,19 @@ def _fill(rows, thetas, grads, pen, gammas) -> None:
     rows[:, :, _GRAD_NORM] = np.sqrt((grads[:, :n] * grads[:, :n]).sum(axis=-1))
 
 
-def _finish(rows, writer) -> None:
-    """A run's exit: fill its rows' composite column; write them to its file and close it."""
-    with contextlib.nullcontext() if writer is None else contextlib.closing(writer):
-        rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
-        if writer is not None:
+def _finish(rows, path) -> None:
+    """A run's exit, the only code that touches a trace file: fill its rows' composite
+    column, then create the file path (None: none), write the header and rows and close it."""
+    rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
+    if path is not None:
+        with contextlib.closing(TraceWriter(path)) as writer:
             writer.write_rows(rows)
 
 
-def _retire(t, data, grad, pgrad, runs, results, writers):
+def _retire(t, data, grad, pgrad, runs, results):
     """Record a NumericError for each run with a non-finite loss, gradient
     or penalty gradient at step t, with the message a lone run raises, and
-    _finish it with its rows before step t; returns the mask of runs kept."""
+    return the mask of runs kept; the loop keeps a failed run's rows for its exit."""
     checks = [(f"non-finite loss at step {t}", np.isfinite(data[:, t - 1, _LOSS])),
               ("non-finite values in gradient", np.isfinite(grad).all(axis=1))]
     if pgrad is not None:
@@ -315,7 +317,6 @@ def _retire(t, data, grad, pgrad, runs, results, writers):
     for message, finite in checks:
         for i in np.flatnonzero(keep & ~finite):
             results[runs[i]] = NumericError(message, step=t)
-            _finish(data[i, :t - 1], writers[i])
         keep &= finite
     return keep
 
@@ -462,8 +463,9 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     of at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows (at
     least one run a chunk); each run's files are the bytes a lone finetune of
     its config and seed writes.  A run that fails is recorded as failed:stepN
-    in the summary table and skipped; the others go on.  A sweep stopped
-    mid-chunk by an exception writes the steps that chunk's runs took.
+    in the summary table and skipped; the others go on.  A chunk's trace files
+    are written when it exits: a sweep stopped mid-chunk by an exception writes
+    the steps its runs took, and a killed one leaves them only config.json.
     best_config.txt names the (k, t0, gamma) of the lowest median
     final_target_loss; a sweep with no ok run removes an earlier one.
     """

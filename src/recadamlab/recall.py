@@ -78,8 +78,9 @@ def _penalty_parts(pen: PenaltyModel, theta: np.ndarray, gamma=None):
     return diff, pen.fisher_diag * diff, pen.n_obs
 
 
-def _penalty_grad(pen: PenaltyModel, theta: np.ndarray, gamma=None) -> np.ndarray:
-    """The penalty gradients (S, d) of a stack of runs theta (S, d)."""
+def penalty_grad(pen: PenaltyModel, theta: np.ndarray, gamma=None) -> np.ndarray:
+    """The penalty gradient of one run theta (d,), or of each run of a stack (S, d); an
+    (S, 1) column gamma replaces pen.gamma per run."""
     _, weighted, scale = _penalty_parts(pen, theta, gamma)
     return np.zeros_like(theta) if weighted is None else np.multiply(weighted, scale, out=weighted)
 
@@ -95,10 +96,6 @@ def _penalty_values(pen: PenaltyModel, theta: np.ndarray, gamma=None):
 
 def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
     return float(_penalty_values(pen, theta)[0])
-
-
-def penalty_grad(pen: PenaltyModel, theta: np.ndarray) -> np.ndarray:
-    return _penalty_grad(pen, theta[None])[0]
 
 
 def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,

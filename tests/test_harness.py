@@ -651,6 +651,53 @@ class TestBatchedSweep:
             sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
         assert len(writers) == 3 and all(writer._fh.closed for writer in writers)
 
+    def test_no_trace_file_exists_while_a_stack_trains(self, tmp_path, monkeypatch):
+        # a process killed mid-stack leaves no trace.csv that looks complete
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 30, "pretrain.steps": 100})
+        theta_star, _ = pretrain(cfg)
+        runs = Path(cfg.output_dir) / "runs"
+        real = harness.recadam_step
+        seen = []
+
+        def spy(*args):
+            if not seen:
+                seen.append(sorted(runs.glob("*/trace.csv")))
+            return real(*args)
+
+        monkeypatch.setattr(harness, "recadam_step", spy)
+        sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+        assert seen == [[]]
+        assert len(list(runs.glob("*/config.json"))) == 3
+        statuses = assert_runs_match_lone_finetunes(cfg, theta_star, tmp_path / "lone")
+        assert statuses == ["ok"] * 3
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_failed_run_is_written_at_the_exit_with_the_others(self, tmp_path,
+                                                                  monkeypatch):
+        # the gamma=5000 run fails at step 48 and its write raises: the
+        # gamma=1 run still trains to the end and is written, every file is
+        # closed, and the OSError passes out after the last file
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 500})
+        pretrain(cfg)
+        real = harness.TraceWriter.write_rows
+        written = []
+
+        def failing(self, rows):
+            written.append(self.path.parent.name)
+            if "-g5000-" in self.path.parent.name:
+                raise OSError("disk full")
+            real(self, rows)
+
+        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        writers = recorded_writers(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, {"k": (0.05,), "t0": (20,), "gamma": (1.0, 5000.0), "seeds": (0,)})
+        assert sorted(written) == ["k0.05-t20-g1-s0", "k0.05-t20-g5000-s0"]
+        assert len(writers) == 2 and all(writer._fh.closed for writer in writers)
+        runs = Path(cfg.output_dir) / "runs"
+        assert len(read_trace(runs / "k0.05-t20-g1-s0" / "trace.csv")) == 150
+        assert len(read_trace(runs / "k0.05-t20-g5000-s0" / "trace.csv")) == 0
+
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):
         # the loop hands a quadratic task the whole (runs, dim) stack at once

@@ -5,13 +5,14 @@ line is longer than 99 characters.
 An import statement with a line marked ``# noqa: F401`` is exempt, as with
 flake8, but each name it imports must be one that the benchmark's span
 tracer (``perfbench/tracer.py``, its ``_FUNCTIONS`` table) replaces on that
-module: that is the only reason such an import exists, and the check flags
-it once the tracer no longer wraps the name.  The package ``__init__.py`` is
-skipped for unused imports: its imports are the package's public names.  A
-private name is one with a leading underscore that is not a dunder; a use is
-a load of the name, or of an attribute of that name, in any top-level
-statement other than the one that defines it, so a helper that only calls
-itself counts as unused.
+module, and that the module itself does not use: that is the only reason
+such an import exists, and the check flags it once the tracer no longer
+wraps the name or the module uses it (a stale marker).  The package
+``__init__.py`` is skipped for unused imports: its imports are the
+package's public names.  A private name is one with a leading underscore
+that is not a dunder; a use is a load of the name, or of an attribute of
+that name, in any top-level statement other than the one that defines it,
+so a helper that only calls itself counts as unused.
 """
 
 import ast
@@ -38,10 +39,21 @@ def imported_names(source: str):
                 yield node.lineno, alias.asname or alias.name.split(".")[0], marked
 
 
+def used_names(source: str) -> set:
+    return {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+
+
 def unused_imports(source: str) -> list:
-    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    used = used_names(source)
     return [f"line {lineno}: {name}" for lineno, name, marked in imported_names(source)
             if not marked and name not in used]
+
+
+def stale_marked_imports(source: str) -> list:
+    """'line n: name' for each name a marked import binds that its module uses after all."""
+    used = used_names(source)
+    return [f"line {lineno}: {name}" for lineno, name, marked in imported_names(source)
+            if marked and name in used]
 
 
 def test_unused_import_is_found():
@@ -49,9 +61,20 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["line 1: os"]
 
 
+def test_stale_marked_import_is_found():
+    source = ("from json import dumps, loads  # noqa: F401\nimport os  # noqa: F401\n"
+              "import re\nre.compile(loads('1'))\n")
+    assert stale_marked_imports(source) == ["line 1: loads"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_marked_import_is_used(path):
+    assert stale_marked_imports(path.read_text()) == []
 
 
 def wrapped_attributes(tracer_source: str) -> dict:

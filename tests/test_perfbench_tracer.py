@@ -4,11 +4,12 @@
 ``harness``, ``optim`` and ``cli`` modules, and each task class's own
 ``loss_and_grad`` and ``per_sample_loglik_grads``.  Installing it fails if
 one of those names has gone; a traced run must count each optimizer step
-once, under the span of the run's own stepper, and each task gradient once,
-on every task kind; a traced report must count one trace read per run and
-the rows it read; a traced ``finetune`` or ``sweep`` command must count one
-checkpoint read; a traced ``finetune`` counts a pair build and a Fisher
-estimate only when the harness memos miss.
+once, under the span of the run's own stepper, a recall kind's penalty
+gradient once, and each task gradient once, on every task kind; a traced
+report must count one trace read per run and the rows it read; a traced
+``finetune`` or ``sweep`` command must count one checkpoint read; a traced
+``finetune`` counts a pair build and a Fisher estimate only when the
+harness memos miss.
 """
 
 import importlib.util
@@ -61,6 +62,8 @@ def test_traced_finetune_counts_one_stepper_call_per_step(tmp_path, kind):
     assert tracer.calls["harness.finetune"] == 1
     for name in set(STEP_SPANS.values()):
         assert tracer.calls[name] == (20 if name == STEP_SPANS[kind] else 0)
+    # a recall kind takes one penalty gradient a step, through the harness name
+    assert tracer.calls["recall.penalty_grad"] == (20 if kind.startswith("recadam") else 0)
 
 
 def test_traced_report_counts_one_read_per_run_and_its_rows(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_grad, _penalty_values,
+from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_values,
                                estimate_diag_fisher, penalty_grad, penalty_loss)
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               gen_task)
@@ -43,6 +43,18 @@ class TestPenalty:
         fisher = PenaltyModel.diagonal_fisher(anchor, np.ones(8), 7)
         assert penalty_loss(iso, theta) == penalty_loss(fisher, theta)
         assert np.array_equal(penalty_grad(iso, theta), penalty_grad(fisher, theta))
+
+    @pytest.mark.parametrize("kind", ["none", "isotropic", "diagonal-fisher"])
+    def test_a_stack_gives_each_run_its_lone_gradient(self, kind):
+        rng = np.random.default_rng(5)
+        theta, anchor, fisher = rng.normal(size=(3, 4)), rng.normal(size=4), rng.random(4)
+        pen = PenaltyModel(kind, anchor, gamma=2.0, fisher_diag=fisher, n_obs=7)
+        gammas = np.array([[2.0], [0.5], [3.0]])
+        stacked = penalty_grad(pen, theta, gammas)
+        assert stacked.shape == (3, 4)
+        for row, gamma, grad in zip(theta, gammas[:, 0], stacked):
+            lone = PenaltyModel(kind, anchor, gamma=gamma, fisher_diag=fisher, n_obs=7)
+            assert np.array_equal(penalty_grad(lone, row), grad)
 
     @pytest.mark.parametrize("kind", ["none", "isotropic", "diagonal-fisher"])
     def test_grad_matches_finite_differences(self, kind):
@@ -256,8 +268,8 @@ class TestPurity:
         pen = PenaltyModel(kind, theta_star, gamma=2.0, fisher_diag=fisher, n_obs=7)
         inputs = [theta, theta_star, fisher, gamma]
         before = read_only_copies(inputs)
-        outputs = [*_penalty_values(pen, theta[:, None], gamma), _penalty_grad(pen, theta, gamma),
-                   *_penalty_values(pen, theta), _penalty_grad(pen, theta)]
+        outputs = [*_penalty_values(pen, theta[:, None], gamma), penalty_grad(pen, theta, gamma),
+                   *_penalty_values(pen, theta), penalty_grad(pen, theta)]
         if rows == 1:
             outputs.append(penalty_grad(pen, theta[0]))
             assert penalty_loss(pen, theta[0]) == outputs[3][0]

@@ -233,7 +233,7 @@ def test_a_lone_run_fills_its_columns_once_a_block(tmp_path, monkeypatch, kind, 
     cfg = case_cfg("recadam-isotropic", tmp_path, **{"finetune.optimizer.kind": kind,
                                                       "penalty.kind": penalty})
     theta_star, _ = pretrain(cfg, write_outputs=False)
-    grads = counted(monkeypatch, "_penalty_grad")
+    grads = counted(monkeypatch, "penalty_grad")
     values = counted(monkeypatch, "_penalty_values")
     fills = counted(monkeypatch, "_fill")
     trace, _ = finetune(cfg, theta_star, seed=0)
