@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig, ScheduleMultiplier
 from .recall import PENALTY_KINDS
 from .shifting import AnnealSchedule
-from .tasks import DATASET_KINDS, TASK_KINDS, _task_spec
+from .tasks import _KEYWORDS, DATASET_KINDS, TASK_KINDS, _task_spec
 
 INIT_KINDS = ("random", "pretrained")
 
@@ -147,8 +147,6 @@ _KEYS = {
 _ATTRS = {key: row.attr or key for key, row in _KEYS.items()}
 _GET_ALL = attrgetter(*_ATTRS.values())  # one call fetches every key's value, in table order
 _MLP_DIMS = ("transfer.dim_in", "transfer.hidden", "transfer.classes")
-_TASK_SIZES = _MLP_DIMS + ("transfer.n_samples", "transfer.noise_std", "transfer.center_scale",
-                           "transfer.label_noise")
 
 
 def _lines(flat: dict) -> str:
@@ -231,7 +229,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
     if full["penalty.kind"] == "diagonal-fisher" and full["transfer.kind"] not in DATASET_KINDS:
         raise ConfigError(f"penalty.kind=diagonal-fisher needs a task with a dataset to "
                           f"estimate the Fisher from, not transfer.kind={full['transfer.kind']}")
-    sizes = {key.split(".", 1)[1]: full[key] for key in _TASK_SIZES}
+    sizes = {key: full["transfer." + key] for key in _KEYWORDS}
     try:  # the task generator's own size checks; an mlp-1h derives its dim
         spec = _task_spec(full["transfer.kind"], full["transfer.dim"], full["transfer.seed"],
                           sizes)

@@ -18,11 +18,14 @@ class UnsupportedTaskError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite value encountered during optimization."""
+    """Non-finite value encountered during optimization.  For a stack of runs,
+    rows holds one bool per run, True where the run passed the failing check;
+    None when that is not known."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, rows=None):
         super().__init__(message)
         self.step = step
+        self.rows = rows
 
 
 class ConfigError(ValueError):

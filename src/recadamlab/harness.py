@@ -4,11 +4,11 @@ Each fine-tuning step logs one trace row describing the state the step consumed:
 index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
 lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
 a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
-floats, created and written in one go, by _finish alone, when the run's stack exits or a
-Python exception passes out of it, one row per step taken (a failing step writes none); a
-killed process leaves no trace.csv for the runs it was training.  Its lines end with
-"\n"; the report CSVs end theirs with "\r\n", as the csv module writes them, and their
-curve cells are %.17g floats too.
+floats, written in one go, by _finish alone, to trace.csv.tmp and renamed onto trace.csv
+when the run's stack exits or a Python exception passes out of it, one row per step taken
+(a failing step writes none); a killed process or a failed write leaves no trace.csv.  Its
+lines end with "\n"; the report CSVs end theirs with "\r\n", as the csv module writes
+them, and their curve cells are %.17g floats too.
 RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
 best/steps-to-threshold come from the trace's batch losses.
 
@@ -18,7 +18,8 @@ reads; the penalty, distance and gradient-norm columns are filled a block of at 
 _BLOCK rows at a time.  pretrain and finetune are its S = 1 case; sweep runs its grid
 through it in chunks of at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and
 every run's files are the same bytes a lone finetune writes.  One-entry memos hold the
-transfer pair and any Fisher diagonal: a process builds each once per key.
+transfer pair and any Fisher diagonal: a process builds each once per key.  A failing
+check's NumericError.rows marks the runs that passed it; _run_loop retires the others.
 """
 
 import contextlib
@@ -209,8 +210,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     from a block of at most _BLOCK rows of the steps' theta and gradient.  Each
     row of every (S, d) array is bit-identical to the run alone.  Returns per
     run (trace, final theta), or a NumericError for a run whose loss, gradient
-    or penalty gradient was not finite at some step t: its trace ends at step
-    t - 1, and it leaves the stack while the others go on."""
+    or penalty gradient was not finite at step t (the first check it failed): its
+    trace ends at step t - 1, and it leaves the stack while the others go on."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -250,19 +251,21 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     row[i, _LOSS], grad[i] = task.loss_and_grad(
                         theta[i], None if stream is None else next(stream))
             pgrad = penalty_grad(pen, theta, gammas) if recall else None
-            while runs:  # a failing step retires its failing rows and goes again with the rest
+            while runs:  # a failing check retires the rows it marks and goes again with the rest
                 try:
                     if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
-                        raise NumericError("non-finite loss")
+                        raise NumericError(f"non-finite loss at step {t}", step=t,
+                                           rows=np.isfinite(row[:, _LOSS]))
                     # the stepper checks the gradients
                     theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
                                         row[:, _LAMBDA:_LAMBDA + 1], pgrad)
                     break
-                except NumericError:
+                except NumericError as exc:
+                    if (keep := exc.rows) is None or keep.all():
+                        raise  # no run to retire: going again would loop
                     _fill(data[:, filled:t], thetas, grads, pen, gammas)  # a new block at t + 1
-                    keep = _retire(t, data, grad, pgrad, runs, results)
-                    if keep.all():  # a failure _retire cannot place: going again would loop
-                        raise
+                    for run in itertools.compress(runs, ~keep):
+                        results[run] = exc.with_traceback(None)  # holds none of the loop's frames
                     retired += zip(data[~keep, :t - 1], itertools.compress(paths, ~keep))
                     runs, streams, paths = ([x for x, k in zip(per_run, keep) if k]
                                             for per_run in (runs, streams, paths))
@@ -298,27 +301,18 @@ def _fill(rows, thetas, grads, pen, gammas) -> None:
 
 def _finish(rows, path) -> None:
     """A run's exit, the only code that touches a trace file: fill its rows' composite
-    column, then create the file path (None: none), write the header and rows and close it."""
+    column, then write the header and rows to path + ".tmp" (path None: no file), close
+    it and rename it onto path.  A failed write removes the temporary file and raises."""
     rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
     if path is not None:
-        with contextlib.closing(TraceWriter(path)) as writer:
-            writer.write_rows(rows)
-
-
-def _retire(t, data, grad, pgrad, runs, results):
-    """Record a NumericError for each run with a non-finite loss, gradient
-    or penalty gradient at step t, with the message a lone run raises, and
-    return the mask of runs kept; the loop keeps a failed run's rows for its exit."""
-    checks = [(f"non-finite loss at step {t}", np.isfinite(data[:, t - 1, _LOSS])),
-              ("non-finite values in gradient", np.isfinite(grad).all(axis=1))]
-    if pgrad is not None:
-        checks.append(("non-finite values in penalty gradient", np.isfinite(pgrad).all(axis=1)))
-    keep = np.ones(len(runs), dtype=bool)
-    for message, finite in checks:
-        for i in np.flatnonzero(keep & ~finite):
-            results[runs[i]] = NumericError(message, step=t)
-        keep &= finite
-    return keep
+        tmp = Path(f"{path}.tmp")
+        try:
+            with contextlib.closing(TraceWriter(tmp)) as writer:
+                writer.write_rows(rows)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _lone(results):

@@ -16,9 +16,12 @@ from .errors import DimensionError, NumericError
 
 
 def ensure_finite(values: np.ndarray, what: str = "vector", step: int | None = None) -> None:
-    """Raise NumericError if any element is NaN or infinite."""
-    if not np.isfinite(values).all():
-        raise NumericError(f"non-finite values in {what}", step=step)
+    """Raise NumericError if any element is NaN or infinite; its rows marks the
+    rows of values (the last axis is one row) that are finite throughout."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericError(f"non-finite values in {what}", step=step,
+                           rows=finite.all(axis=-1) if finite.ndim else finite)
 
 
 def check_same_length(a: np.ndarray, b: np.ndarray) -> None:

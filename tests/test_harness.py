@@ -565,6 +565,35 @@ class TestBatchedSweep:
             trace, _ = results[1]
             assert len(trace) == 5
 
+    def test_each_run_of_a_mixed_stack_gets_the_first_check_it_fails(self):
+        # run 0 has a NaN loss and gradient at step 3, run 1 a NaN gradient at
+        # step 3, and run 3 an infinite gamma, so an infinite penalty gradient
+        # at step 1: each run gets the message of the first check it fails, in
+        # the order loss, gradient, penalty gradient, and run 2 trains to the end
+        class Bowl:
+            """0.5 |theta|^2 for a stack, with NaNs in rows 0 and 1 at step 3."""
+            calls = 0
+
+            def dataset_size(self):
+                return 0
+
+            def loss_and_grad(self, theta, batch=None):
+                self.calls += 1
+                losses, grads = 0.5 * (theta * theta).sum(axis=1), theta.copy()
+                if self.calls == 3:
+                    losses[0] = grads[0, 1] = grads[1, 0] = np.nan
+                return losses, grads
+
+        results = harness._run_loop(
+            Bowl(), np.ones((4, 2)), 5, 1, [None] * 4, None,
+            PenaltyModel.isotropic(np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
+            anneals=[AnnealSchedule(0.1, 2)] * 4, gammas=[1.0, 1.0, 1.0, np.inf])
+        assert [(str(error), error.step) for error in results[:2] + results[3:]] == [
+            ("non-finite loss at step 3", 3), ("non-finite values in gradient", 3),
+            ("non-finite values in penalty gradient", 1)]
+        trace, _ = results[2]
+        assert len(trace) == 5
+
     def test_an_error_mid_run_leaves_the_rows_before_it(self, tmp_path, monkeypatch):
         # the rows are written as the exception passes: every step the run took
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 100,
@@ -625,7 +654,8 @@ class TestBatchedSweep:
     def test_a_failed_write_hides_no_interrupt_and_closes_every_file(self, tmp_path,
                                                                      monkeypatch):
         # the second run's write fails: the other runs are still written, every
-        # file is closed, and the KeyboardInterrupt passing through is what raises
+        # file is closed, the KeyboardInterrupt passing through is what raises,
+        # and the failed run is left neither a trace.csv nor its temporary file
         real = harness.TraceWriter.write_rows
 
         def failing(self, rows):
@@ -635,7 +665,8 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
         run_dirs = self._interrupt_sweep_at_step_100(tmp_path, monkeypatch)
-        assert [len(read_trace(d / "trace.csv")) for d in run_dirs] == [99, 0, 99]
+        assert [len(read_trace(d / "trace.csv")) for d in run_dirs[::2]] == [99, 99]
+        assert sorted(p.name for p in run_dirs[1].iterdir()) == ["config.json"]  # no .tmp
 
     def test_a_failed_write_at_the_end_raises_and_closes_every_file(self, tmp_path,
                                                                     monkeypatch):
@@ -676,7 +707,8 @@ class TestBatchedSweep:
                                                                   monkeypatch):
         # the gamma=5000 run fails at step 48 and its write raises: the
         # gamma=1 run still trains to the end and is written, every file is
-        # closed, and the OSError passes out after the last file
+        # closed, the OSError passes out after the last file, and the failed
+        # run is left neither a trace.csv nor its temporary file
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 500})
         pretrain(cfg)
         real = harness.TraceWriter.write_rows
@@ -696,7 +728,8 @@ class TestBatchedSweep:
         assert len(writers) == 2 and all(writer._fh.closed for writer in writers)
         runs = Path(cfg.output_dir) / "runs"
         assert len(read_trace(runs / "k0.05-t20-g1-s0" / "trace.csv")) == 150
-        assert len(read_trace(runs / "k0.05-t20-g5000-s0" / "trace.csv")) == 0
+        assert sorted(p.name for p in (runs / "k0.05-t20-g5000-s0").iterdir()) == ["config.json"]
+        assert not list(runs.glob("*/*.tmp"))
 
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):

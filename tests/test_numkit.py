@@ -102,3 +102,9 @@ def test_ensure_finite_always_checks():
         with pytest.raises(NumericError) as err:
             ensure_finite(np.array([1.0, bad]), step=7)
         assert err.value.step == 7
+        assert err.value.rows.shape == () and not err.value.rows  # one vector: one row
+        stack = np.ones((3, 4))
+        stack[1, 2] = bad
+        with pytest.raises(NumericError) as err:
+            ensure_finite(stack)
+        assert err.value.rows.tolist() == [True, False, True]

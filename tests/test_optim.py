@@ -274,6 +274,18 @@ class TestRecallVariants:
                     np.array([1.0, np.inf]))
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("bad", ["gradient", "penalty gradient"])
+    @pytest.mark.parametrize("stepper", [recadam_step, coupled_recadam_step])
+    def test_a_refused_stack_marks_only_its_failing_row(self, stepper, bad):
+        # the error's rows: True for each run of the stack that passed the check
+        grad, pgrad = np.ones((2, 4, 3))
+        (grad if bad == "gradient" else pgrad)[2, 1] = np.inf
+        with pytest.raises(NumericError, match=f"^non-finite values in {bad}$") as err:
+            stepper(np.zeros((4, 3)), AdamState.fresh((4, 3)), DEFAULTS, 1.0, grad,
+                    np.full((4, 1), 0.5), pgrad)
+        assert err.value.step == 1
+        assert err.value.rows.tolist() == [True, True, False, True]
+
 
 class TestPurity:
     """The steppers allocate what they return and write none of their
