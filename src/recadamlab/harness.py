@@ -4,11 +4,11 @@ Each fine-tuning step logs one trace row describing the state the step consumed:
 index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
 lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
 a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
-floats, written in one go, by _finish alone, to trace.csv.tmp and renamed onto trace.csv
-when the run's stack exits or a Python exception passes out of it, one row per step taken
-(a failing step writes none); a killed process or a failed write leaves no trace.csv.  Its
-lines end with "\n"; the report CSVs end theirs with "\r\n", as the csv module writes
-them, and their curve cells are %.17g floats too.
+floats, written by _finish as the run's stack exits, also on a Python exception, one row
+per step taken (a failing step writes none).  _finetune_runs writes every file of a run
+dir; each, like theta_star.bin, goes to <name>.tmp and is renamed into place, so a kill
+or a failed write leaves no part-written file.  Trace lines end with "\n"; the report
+CSVs end theirs with "\r\n", as the csv module writes them; their curve cells are %.17g.
 RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
 best/steps-to-threshold come from the trace's batch losses.
 
@@ -204,8 +204,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     """The one training loop: it advances S runs at once, one per row of
     theta0 (S, d).  Run i draws its batches from batch_rngs[i], follows
     anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma).
-    No file exists while the stack trains: at its exit, with its result or an
-    exception, _finish writes every run's rows to trace_paths[i] (None: no files).
+    No trace file exists while the stack trains: at its exit, with its result or an
+    exception, _finish writes every run's rows to trace_paths[i] (None: no file).
     A step computes only what the update reads; _fill makes the other columns
     from a block of at most _BLOCK rows of the steps' theta and gradient.  Each
     row of every (S, d) array is bit-identical to the run alone.  Returns per
@@ -250,7 +250,6 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 for i, stream in enumerate(streams):
                     row[i, _LOSS], grad[i] = task.loss_and_grad(
                         theta[i], None if stream is None else next(stream))
-            pgrad = penalty_grad(pen, theta, gammas) if recall else None
             while runs:  # a failing check retires the rows it marks and goes again with the rest
                 try:
                     if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
@@ -258,7 +257,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                                            rows=np.isfinite(row[:, _LOSS]))
                     # the stepper checks the gradients
                     theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
-                                        row[:, _LAMBDA:_LAMBDA + 1], pgrad)
+                                        row[:, _LAMBDA:_LAMBDA + 1],
+                                        penalty_grad(pen, theta, gammas) if recall else None)
                     break
                 except NumericError as exc:
                     if (keep := exc.rows) is None or keep.all():
@@ -272,7 +272,6 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     theta, grad, data, gammas, thetas, grads, m, v = (array[keep] for array in (
                         theta, grad, data, gammas, thetas, grads, state.m, state.v))
                     state = AdamState(state.t, m, v)
-                    pgrad = None if pgrad is None else pgrad[keep]
                     row, filled = data[:, t - 1], t
             if not runs:
                 break
@@ -301,18 +300,29 @@ def _fill(rows, thetas, grads, pen, gammas) -> None:
 
 def _finish(rows, path) -> None:
     """A run's exit, the only code that touches a trace file: fill its rows' composite
-    column, then write the header and rows to path + ".tmp" (path None: no file), close
-    it and rename it onto path.  A failed write removes the temporary file and raises."""
+    column, then publish the header and rows to path (None: no file)."""
     rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
     if path is not None:
-        tmp = Path(f"{path}.tmp")
-        try:
-            with contextlib.closing(TraceWriter(tmp)) as writer:
-                writer.write_rows(rows)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with _published(path) as tmp, contextlib.closing(TraceWriter(tmp)) as writer:
+            writer.write_rows(rows)
+
+
+@contextlib.contextmanager
+def _published(path):
+    """Yield path + ".tmp" to write; rename it onto path, or remove it if anything raises."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Publish doc as a sorted, indented JSON object: config.json or summary.json."""
+    with _published(path) as tmp:
+        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 
 def _lone(results):
@@ -343,28 +353,26 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     theta_star = theta.copy()
     theta_star.flags.writeable = False
     if write_outputs:
-        write_vector(Path(cfg.output_dir) / "theta_star.bin", theta_star)
+        with _published(Path(cfg.output_dir) / "theta_star.bin") as tmp:
+            write_vector(tmp, theta_star)
     return theta_star, trace
 
 
-def _write_run_config(run_dir: Path, cfg: ExperimentConfig, seed: int) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps({**cfg.to_flat(), "run_seed": str(seed)}, sort_keys=True, indent=2))
-
-
 def _finetune_runs(task, pen, theta_star, runs):
-    """Fine-tune runs as the rows of one loop.  runs holds (run config, seed,
-    run dir or None) per run; the configs may differ only in shifting.k,
-    shifting.t0 and penalty.gamma.  Each run dir gets trace.csv, and
-    summary.json if the run finishes.  Returns per run (trace, summary), or
-    the run's NumericError."""
+    """Fine-tune runs as the rows of one loop, the only code that writes a run dir.  runs
+    holds (run config, seed, run dir or None) per run; the configs may differ only in
+    shifting.k, shifting.t0 and penalty.gamma.  Each run dir is made with config.json
+    before the loop, gets trace.csv at its exit and summary.json if the run finishes,
+    each published whole.  Returns per run (trace, summary), or the run's NumericError."""
     ft = runs[0][0].finetune
     theta0 = np.empty((len(runs), task.dim))
-    for i, (_, seed, _) in enumerate(runs):
+    for i, (run_cfg, seed, run_dir) in enumerate(runs):
         theta0[i] = (RANDOM_INIT_STD * RandomSource(seed).child("init").normal(task.dim)
                      if ft.init == "random" else theta_star)
-    trace_paths = None if runs[0][2] is None else [Path(d) / "trace.csv" for _, _, d in runs]
+        if run_dir is not None:
+            Path(run_dir).mkdir(parents=True, exist_ok=True)
+            _write_json(Path(run_dir, "config.json"), {**run_cfg.to_flat(), "run_seed": str(seed)})
+    trace_paths = [None if d is None else Path(d) / "trace.csv" for _, _, d in runs]
     results = _run_loop(task, theta0, ft.steps, ft.batch_size,
                         [RandomSource(seed).child("batches") for _, seed, _ in runs], trace_paths,
                         pen, ft.optimizer_kind, ft.optimizer, ft.weight_decay, ft.schedule,
@@ -377,8 +385,7 @@ def _finetune_runs(task, pen, theta_star, runs):
         summary = summarize(trace, task, theta, theta_star, seed, run_cfg.config_hash(),
                             ft.loss_threshold)
         if run_dir is not None:
-            (Path(run_dir) / "summary.json").write_text(
-                json.dumps(summary.to_dict(), sort_keys=True, indent=2))
+            _write_json(Path(run_dir, "summary.json"), summary.to_dict())
         results[i] = (trace, summary)
     return results
 
@@ -387,13 +394,11 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
              run_dir: str | os.PathLike | None = None):
     """Fine-tune on the target task under the configured optimizer.
 
-    Returns (trace, summary); writes trace.csv, summary.json and
-    config.json into run_dir when given.  A non-finite value raises
+    Returns (trace, summary); _finetune_runs writes config.json, trace.csv
+    and summary.json into run_dir when given.  A non-finite value raises
     NumericError and leaves the trace of the steps before it.
     """
     task, pen = build_transfer_pair(cfg).target, build_penalty(cfg, theta_star)
-    if run_dir is not None:
-        _write_run_config(Path(run_dir), cfg, seed)
     return _lone(_finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
@@ -451,15 +456,15 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     Grid entries left as None fall back to the base config's single value.
     Every grid point is checked before pretraining, which runs only when
     output_dir/theta_star.bin is missing (an unreadable one is a ConfigError).
-    The transfer pair and any Fisher diagonal are built once, and every run's
-    directory under output_dir/runs and its config.json are written up front.
-    The runs then advance together, as the rows of one training loop, in chunks
-    of at most _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows (at
-    least one run a chunk); each run's files are the bytes a lone finetune of
-    its config and seed writes.  A run that fails is recorded as failed:stepN
-    in the summary table and skipped; the others go on.  A chunk's trace files
-    are written when it exits: a sweep stopped mid-chunk by an exception writes
-    the steps its runs took, and a killed one leaves them only config.json.
+    The transfer pair and any Fisher diagonal are built once.  The runs then
+    advance together, as the rows of one training loop, in chunks of at most
+    _SWEEP_CHUNK runs whose traces fit in _TRACE_ROW_BUDGET rows (at least one
+    run a chunk); each run's files are the bytes a lone finetune of its config
+    and seed writes, in output_dir/runs: config.json as its chunk starts and
+    trace.csv as it exits.  A run that fails is recorded as failed:stepN in the
+    summary table and skipped; the others go on.  A sweep stopped mid-chunk by
+    an exception writes the steps its runs took; a killed one leaves that
+    chunk's runs only config.json, and the later chunks no directory.
     best_config.txt names the (k, t0, gamma) of the lowest median
     final_target_loss; a sweep with no ok run removes an earlier one.
     """
@@ -475,8 +480,6 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     points = list(runs.values())
     jobs = [(run_cfg, point["seed"], out / "runs" / run_id)
             for run_id, (point, run_cfg) in runs.items()]
-    for run_cfg, seed, run_dir in jobs:
-        _write_run_config(run_dir, run_cfg, seed)
     rows = []
     summaries = []
     chunk = max(1, min(_SWEEP_CHUNK, _TRACE_ROW_BUDGET // cfg.finetune.steps))

@@ -106,6 +106,28 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             quad_cfg(tmp_path, **{"pretrain.steps": 0})
 
+    def test_a_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        # the second pretrain's theta_star.bin write stops half-way, as on a full
+        # disk: the first checkpoint stays whole, and a later sweep reads it
+        cfg = quad_cfg(tmp_path, **{"pretrain.steps": 100, "finetune.steps": 20})
+        theta_star, _ = pretrain(cfg)
+        real = harness.write_vector
+
+        def half(path, values):
+            real(path, values)
+            with open(path, "r+b") as fh:
+                fh.truncate(8 + 4 * values.size)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "write_vector", half)
+        with pytest.raises(OSError, match="disk full"):
+            pretrain(cfg.with_values({"pretrain.steps": 50}))
+        monkeypatch.undo()
+        out = Path(cfg.output_dir)
+        assert sorted(p.name for p in out.iterdir()) == ["pretrain_trace.csv", "theta_star.bin"]
+        assert np.array_equal(read_vector(out / "theta_star.bin"), theta_star)
+        assert len(sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0,)})) == 1
+
 
 class TestFinetune:
     def test_zero_gamma_zeroes_the_penalty_column(self, tmp_path):
@@ -730,6 +752,122 @@ class TestBatchedSweep:
         assert len(read_trace(runs / "k0.05-t20-g1-s0" / "trace.csv")) == 150
         assert sorted(p.name for p in (runs / "k0.05-t20-g5000-s0").iterdir()) == ["config.json"]
         assert not list(runs.glob("*/*.tmp"))
+
+    def test_a_failed_summary_write_leaves_the_run_out_of_the_report(self, tmp_path,
+                                                                     monkeypatch):
+        # the second run's summary.json write stops half-way, as on a full disk:
+        # that run is left no summary.json and no temporary file, so report
+        # skips it instead of refusing the directory
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        pretrain(cfg)
+        real = Path.write_text
+
+        def half(self, text, *args, **kwargs):
+            if self.name.startswith("summary.json") and self.parent.name.endswith("-s1"):
+                real(self, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return real(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", half)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+        monkeypatch.undo()
+        runs = Path(cfg.output_dir) / "runs"
+        assert sorted(p.name for p in (runs / "k0.1-t100-g1-s1").iterdir()) == [
+            "config.json", "trace.csv"]
+        report(runs)
+        with open(runs / "summary_median.csv", newline="") as fh:
+            assert [row["n_runs"] for row in csv.DictReader(fh)] == ["1"]
+
+    @pytest.mark.parametrize("rows", [None, np.ones(3, dtype=bool)])
+    def test_a_check_that_marks_no_failed_run_passes_out(self, tmp_path, monkeypatch, rows):
+        # a NumericError that does not say which runs failed, or says none did,
+        # retires no run: it passes out of the sweep instead of being retried,
+        # and every run keeps the rows of the steps before it
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        whole = quad_cfg(tmp_path / "whole", **{"finetune.steps": 20, "pretrain.steps": 100})
+        grid = {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)}
+        sweep(whole, grid)
+        real = harness.recadam_step
+        calls = []
+
+        def faulty(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("boom", step=3, rows=rows)
+            return real(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("sweep did not return within 10 s")
+
+        monkeypatch.setattr(harness, "recadam_step", faulty)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(NumericError, match="boom"):
+                sweep(cfg, grid)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(calls) == 3
+        run_dirs = sorted((Path(cfg.output_dir) / "runs").iterdir())
+        assert len(run_dirs) == 3
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "trace.csv"]
+            assert ((run_dir / "trace.csv").read_bytes()
+                    == leading_rows(Path(whole.output_dir) / "runs" / run_dir.name
+                                    / "trace.csv", 2))
+
+    def _interrupt_two_chunk_sweep(self, tmp_path, monkeypatch, call):
+        """A four-run quadratic sweep of 30 steps in chunks of two runs, whose
+        stepper raises KeyboardInterrupt at its call-th call; returns the runs dir."""
+        monkeypatch.setattr(harness, "_SWEEP_CHUNK", 2)
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 30, "pretrain.steps": 100})
+        pretrain(cfg)
+        real = harness.recadam_step
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(harness, "recadam_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2, 3)})
+        monkeypatch.undo()
+        return Path(cfg.output_dir) / "runs"
+
+    def test_an_interrupt_in_a_later_chunk_keeps_the_chunks_before_it(self, tmp_path,
+                                                                      monkeypatch):
+        # the first chunk took 30 stepper calls; the second stops at its step 10
+        runs = self._interrupt_two_chunk_sweep(tmp_path, monkeypatch, 30 + 10)
+        theta_star = read_vector(runs.parent / "theta_star.bin")
+        run_dirs = sorted(runs.iterdir())
+        assert [d.name[-2:] for d in run_dirs] == ["s0", "s1", "s2", "s3"]
+        for run_dir in run_dirs:
+            run_cfg, seed = recorded_run(run_dir)
+            lone = tmp_path / "lone" / run_dir.name
+            finetune(run_cfg, theta_star, seed, run_dir=lone)
+            if seed < 2:  # complete: the bytes of a lone finetune
+                for name in ("config.json", "trace.csv", "summary.json"):
+                    assert (run_dir / name).read_bytes() == (lone / name).read_bytes()
+            else:
+                assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "trace.csv"]
+                assert ((run_dir / "trace.csv").read_bytes()
+                        == leading_rows(lone / "trace.csv", 9))
+        report(runs)
+        with open(runs / "summary_median.csv", newline="") as fh:
+            assert [row["n_runs"] for row in csv.DictReader(fh)] == ["2"]
+
+    def test_an_interrupt_in_the_first_chunk_leaves_later_chunks_no_directory(
+            self, tmp_path, monkeypatch):
+        runs = self._interrupt_two_chunk_sweep(tmp_path, monkeypatch, 10)
+        assert [d.name[-2:] for d in sorted(runs.iterdir())] == ["s0", "s1"]
+        for run_dir in runs.iterdir():
+            assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "trace.csv"]
+            assert len(read_trace(run_dir / "trace.csv")) == 9
 
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):
