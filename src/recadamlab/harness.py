@@ -6,9 +6,10 @@ lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In
 a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
 floats, written by _finish as the run's stack exits, also on a Python exception, one row
 per step taken (a failing step writes none).  _finetune_runs writes every file of a run
-dir; each, like theta_star.bin, goes to <name>.tmp and is renamed into place, so a kill
-or a failed write leaves no part-written file.  Trace lines end with "\n"; the report
-CSVs end theirs with "\r\n", as the csv module writes them; their curve cells are %.17g.
+dir; each, like theta_star.bin and the sweep and report tables, goes to <name>.tmp and
+is renamed into place, so a kill or a failed write leaves no part-written file.  Trace
+lines end with "\n"; the report CSVs end theirs with "\r\n", as the csv module writes
+them; their curve cells are %.17g.
 RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
 best/steps-to-threshold come from the trace's batch losses.
 
@@ -89,15 +90,21 @@ class TraceWriter:
         self._fh.write(_ROW_BYTES % tuple(row))
 
     def write_rows(self, rows: np.ndarray) -> None:
-        """The rows of an (n, 8) array: _BLOCK rows per % call, then the rest one by one."""
-        whole = len(rows) - len(rows) % _BLOCK
-        for block in rows[:whole].reshape(-1, _BLOCK * len(TRACE_COLUMNS)):
-            self._fh.write(_ROW_BYTES * _BLOCK % tuple(block.tolist()))
-        for row in rows[whole:].tolist():
+        """The rows of an (n, 8) array: whole blocks by _write_blocks, the rest by write_row."""
+        for row in _write_blocks(self._fh, _ROW_BYTES, rows).tolist():
             self.write_row(row)
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _write_blocks(fh, row: bytes, rows: np.ndarray) -> np.ndarray:
+    """Write the whole _BLOCK-row blocks of rows (n, c) to fh, one % of row a block;
+    returns the rows after the last whole block."""
+    whole = len(rows) - len(rows) % _BLOCK
+    for block in rows[:whole].reshape(-1, _BLOCK * rows.shape[1]):
+        fh.write(row * _BLOCK % tuple(block.tolist()))
+    return rows[whole:]
 
 
 def read_trace(path: str | os.PathLike) -> TrainingTrace:
@@ -363,7 +370,8 @@ def _finetune_runs(task, pen, theta_star, runs):
     holds (run config, seed, run dir or None) per run; the configs may differ only in
     shifting.k, shifting.t0 and penalty.gamma.  Each run dir is made with config.json
     before the loop, gets trace.csv at its exit and summary.json if the run finishes,
-    each published whole.  Returns per run (trace, summary), or the run's NumericError."""
+    each published whole; a failed summary.json write passes out after the others are
+    written.  Returns per run (trace, summary), or the run's NumericError."""
     ft = runs[0][0].finetune
     theta0 = np.empty((len(runs), task.dim))
     for i, (run_cfg, seed, run_dir) in enumerate(runs):
@@ -378,15 +386,16 @@ def _finetune_runs(task, pen, theta_star, runs):
                         pen, ft.optimizer_kind, ft.optimizer, ft.weight_decay, ft.schedule,
                         [run_cfg.shifting for run_cfg, _, _ in runs],
                         [run_cfg.penalty.gamma for run_cfg, _, _ in runs])
-    for i, ((run_cfg, seed, run_dir), result) in enumerate(zip(runs, results)):
-        if isinstance(result, NumericError):
-            continue
-        trace, theta = result
-        summary = summarize(trace, task, theta, theta_star, seed, run_cfg.config_hash(),
-                            ft.loss_threshold)
-        if run_dir is not None:
-            _write_json(Path(run_dir, "summary.json"), summary.to_dict())
-        results[i] = (trace, summary)
+    with contextlib.ExitStack() as writing:  # every finished run's summary, even if one fails
+        for i, ((run_cfg, seed, run_dir), result) in enumerate(zip(runs, results)):
+            if isinstance(result, NumericError):
+                continue
+            trace, theta = result
+            summary = summarize(trace, task, theta, theta_star, seed, run_cfg.config_hash(),
+                                ft.loss_threshold)
+            if run_dir is not None:
+                writing.callback(_write_json, Path(run_dir, "summary.json"), summary.to_dict())
+            results[i] = (trace, summary)
     return results
 
 
@@ -467,6 +476,7 @@ def sweep(cfg: ExperimentConfig, grid: dict):
     chunk's runs only config.json, and the later chunks no directory.
     best_config.txt names the (k, t0, gamma) of the lowest median
     final_target_loss; a sweep with no ok run removes an earlier one.
+    summaries.csv and best_config.txt are each published whole.
     """
     runs = _grid_runs(cfg, grid)
     out = Path(cfg.output_dir)
@@ -502,9 +512,9 @@ def sweep(cfg: ExperimentConfig, grid: dict):
         median, (k, t0, gamma) = min(
             (float(np.median([row["final_target_loss"] for row in group])), key)
             for key, group in groups.items())
-        (out / "best_config.txt").write_text(
-            f"best configuration by median final_target_loss: k={k:g} t0={t0} "
-            f"gamma={gamma:g} (median={_fmt(median)})\n")
+        with _published(out / "best_config.txt") as tmp:
+            tmp.write_text(f"best configuration by median final_target_loss: k={k:g} t0={t0} "
+                           f"gamma={gamma:g} (median={_fmt(median)})\n")
     return summaries
 
 
@@ -525,8 +535,8 @@ def _group(items, key) -> dict:
 
 
 def _write_table(path: Path, header, rows) -> Path:
-    """Write a CSV file of the header row and then rows; returns path."""
-    with open(path, "w", newline="") as fh:
+    """Publish a CSV file of the header row and then rows; returns path."""
+    with _published(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -536,7 +546,9 @@ def _write_table(path: Path, header, rows) -> Path:
 # --- reporting ---------------------------------------------------------------
 
 def _discover_runs(run_dir: Path):
-    """Completed runs only: a failed run leaves a partial trace but no summary."""
+    """Completed runs only: a failed run leaves a partial trace but no summary.  Each
+    trace is read and checked whole by read_trace, but a run keeps only "curves", an
+    owned (n_steps, 2) copy of its target_loss and dist_to_pretrained columns."""
     runs = []
     for config_path in sorted(run_dir.rglob("config.json")):
         trace_path = config_path.parent / "trace.csv"
@@ -544,7 +556,8 @@ def _discover_runs(run_dir: Path):
         if not (trace_path.exists() and summary_path.exists()):
             continue
         flat, k = _read_json(config_path, _report_config, _REPORT_KEYS)
-        runs.append({"flat": flat, "k": k, "trace": read_trace(trace_path),
+        runs.append({"flat": flat, "k": k,
+                     "curves": read_trace(trace_path).data[:, [_LOSS, _DIST]],
                      "summary": _read_json(summary_path, RunSummary, RunSummary.__annotations__)})
     return runs
 
@@ -581,9 +594,10 @@ def report(run_dir: str | os.PathLike) -> list:
 
     Writes learning_curves.csv (per-k median target loss and distance,
     aligned on step), summary_median.csv (median metrics per configuration),
-    and init_comparison.csv when both init modes are present.  A damaged
-    trace.csv, summary.json or config.json in a completed run is NoDataError
-    naming the file.
+    and init_comparison.csv when both init modes are present, each published
+    whole.  A damaged trace.csv, summary.json or config.json in a completed
+    run is NoDataError naming the file.  Only two columns a run stay in
+    memory, and the curve rows go out in _BLOCK-row blocks.
     """
     run_dir = Path(run_dir)
     runs = _discover_runs(run_dir)
@@ -593,17 +607,21 @@ def report(run_dir: str | os.PathLike) -> list:
     # steps at once, equal per step to that step's own median (odd or even count)
     by_k = _group(runs, lambda run: run["k"])
     ks = sorted(by_k)
-    n_steps = min(len(run["trace"]) for run in runs)
-    curves = np.hstack([np.median(np.stack([run["trace"].data[:n_steps, [_LOSS, _DIST]]
-                                            for run in by_k[k]]), axis=0) for k in ks])
-    # csv.writer's bytes at one % a row: int steps, %.17g cells and {k:g}
-    # headers hold no comma or quote, so no cell needs quoting
+    n_steps = min(len(run["curves"]) for run in runs)
+    curves = np.empty((n_steps, 1 + 2 * len(ks)))  # the step, then two columns per k
+    curves[:, 0] = np.arange(1, n_steps + 1)
+    for j, k in enumerate(ks):  # the stack is a temporary, so the median may reorder it
+        curves[:, 1 + 2 * j:3 + 2 * j] = np.median(np.stack(
+            [run["curves"][:n_steps] for run in by_k[k]]), axis=0, overwrite_input=True)
+    # csv.writer's bytes: int steps, %.17g cells and {k:g} headers hold no
+    # comma or quote, so no cell needs quoting
     header = ["step"] + [f"{name}_k={k:g}" for k in ks for name in ("target_loss", "dist")]
-    row = "%d" + ",%.17g" * curves.shape[1] + "\r\n"
+    row = b"%d" + b",%.17g" * (curves.shape[1] - 1) + b"\r\n"
     written = [run_dir / "learning_curves.csv"]
-    with open(written[0], "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % (step, *values) for step, values in enumerate(curves.tolist(), 1))
+    with _published(written[0]) as tmp, open(tmp, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        rest = _write_blocks(fh, row, curves)
+        fh.write(row * len(rest) % tuple(rest.ravel().tolist()))
 
     # (b) median-over-seeds summary per configuration
     rows = []

@@ -4,6 +4,7 @@ import json
 import re
 import signal
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -757,7 +758,7 @@ class TestBatchedSweep:
                                                                      monkeypatch):
         # the second run's summary.json write stops half-way, as on a full disk:
         # that run is left no summary.json and no temporary file, so report
-        # skips it instead of refusing the directory
+        # skips it instead of refusing the directory; the third run's is written
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
         pretrain(cfg)
         real = Path.write_text
@@ -775,9 +776,33 @@ class TestBatchedSweep:
         runs = Path(cfg.output_dir) / "runs"
         assert sorted(p.name for p in (runs / "k0.1-t100-g1-s1").iterdir()) == [
             "config.json", "trace.csv"]
+        assert (runs / "k0.1-t100-g1-s2" / "summary.json").exists()
         report(runs)
         with open(runs / "summary_median.csv", newline="") as fh:
-            assert [row["n_runs"] for row in csv.DictReader(fh)] == ["1"]
+            assert [row["n_runs"] for row in csv.DictReader(fh)] == ["2"]
+
+    def test_a_failed_summaries_write_leaves_the_previous_table(self, tmp_path, monkeypatch):
+        # the summaries.csv write stops half-way through its rows, as on a full
+        # disk: the table of an earlier sweep stays as it was, with no temporary file
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True)
+        (out / "summaries.csv").write_bytes(b"the previous table\r\n")
+        real = harness._format_cell
+        cells = []
+
+        def half(value):
+            cells.append(value)
+            if len(cells) == 2 * len(harness.SUMMARY_FIELDS):  # the second of three rows
+                assert (out / "summaries.csv.tmp").exists()
+                raise OSError("disk full")
+            return real(value)
+
+        monkeypatch.setattr(harness, "_format_cell", half)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+        assert (out / "summaries.csv").read_bytes() == b"the previous table\r\n"
+        assert not list(out.glob("*.tmp"))
 
     @pytest.mark.parametrize("rows", [None, np.ones(3, dtype=bool)])
     def test_a_check_that_marks_no_failed_run_passes_out(self, tmp_path, monkeypatch, rows):
@@ -1091,6 +1116,30 @@ class TestReport:
         expected = self._csv_module_curves(runs)
         assert expected.count(b"\r\n") == 41
         assert (runs / "learning_curves.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("steps", [63, 64, 65, 128, 129])
+    def test_curve_rows_at_block_edges_are_the_csv_module_bytes(self, tmp_path, steps):
+        # curve rows go out in blocks of 64: a tail, none, or one row after them
+        cfg = self._sweep(tmp_path, steps)
+        out = Path(cfg.output_dir)
+        report(out)
+        expected = self._csv_module_curves(out)
+        assert expected.count(b"\r\n") == 1 + steps
+        assert (out / "learning_curves.csv").read_bytes() == expected
+
+    def test_report_holds_less_than_the_whole_traces(self, tmp_path):
+        # report keeps two of a trace's eight columns: its traced peak stays
+        # below the bytes of every run's whole (n_steps, 8) float64 trace
+        cfg = self._sweep(tmp_path, 2000)
+        out = Path(cfg.output_dir)
+        report(out)  # a first call, so one-time costs such as imports are not counted
+        tracemalloc.start()
+        try:
+            report(out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * (6 * 2000 * len(TRACE_COLUMNS) * 8)
 
     def test_edge_float_curves_are_the_csv_module_bytes(self, tmp_path):
         # two runs whose traces hold edge values, so each median is the value
