@@ -4,10 +4,10 @@ Each fine-tuning step logs one trace row describing the state the step consumed:
 index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
 lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
 a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
-floats, written by _finish as the run's stack exits, also on a Python exception, one row
-per step taken (a failing step writes none).  _finetune_runs writes every file of a run
-dir; each, like theta_star.bin and the sweep and report tables, goes to <name>.tmp and
-is renamed into place, so a kill or a failed write leaves no part-written file.  Trace
+floats, written by _finish, one row per step taken (a failing step writes none): as a
+fine-tuning stack exits, also on an exception, and for pretrain after theta_star.bin.
+Every file of a run dir, theta_star.bin and the sweep and report tables go to <name>.tmp
+and are renamed into place, so a kill or a failed write leaves no part-written file.  Trace
 lines end with "\n"; the report CSVs end theirs with "\r\n", as the csv module writes
 them; their curve cells are %.17g.
 RunSummary.final_target_loss is evaluated on the full dataset at the final parameters;
@@ -211,8 +211,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     """The one training loop: it advances S runs at once, one per row of
     theta0 (S, d).  Run i draws its batches from batch_rngs[i], follows
     anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma).
-    No trace file exists while the stack trains: at its exit, with its result or an
-    exception, _finish writes every run's rows to trace_paths[i] (None: no file).
+    No file exists while the stack trains: at its exit, with its result or an exception,
+    _finish writes run i's rows to trace_paths[i] (None, as pretrain passes: no file).
     A step computes only what the update reads; _fill makes the other columns
     from a block of at most _BLOCK rows of the steps' theta and gradient.  Each
     row of every (S, d) array is bit-identical to the run alone.  Returns per
@@ -231,12 +231,11 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     for anneal, rows in _group(range(len(theta)) if recall else (), lambda i: anneals[i]).items():
         data[rows, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
     gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, np.float64)[:, None]
-    # per row: the run, its batch stream and its trace path (None: no dataset, no file)
-    runs = list(range(len(theta)))
+    runs = list(range(len(theta)))  # the live runs' ids, one per row of the stack's arrays
     size = task.dataset_size()
+    # by run id: its batch stream (None: no dataset) and trace_paths[run] (None: no file)
     streams = [batch_stream(size, batch_size, rng) if size > 0 else None for rng in batch_rngs]
-    paths = list(trace_paths or [None] * len(theta))
-    retired = []  # (rows, trace path) of each run that failed, finished at the exit
+    retired = []  # (rows, run) of each run that failed, finished at the exit
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
@@ -254,9 +253,9 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
             if stacked:
                 row[:, _LOSS], grad[:] = task.loss_and_grad(theta)
             else:
-                for i, stream in enumerate(streams):
+                for i, run in enumerate(runs):
                     row[i, _LOSS], grad[i] = task.loss_and_grad(
-                        theta[i], None if stream is None else next(stream))
+                        theta[i], None if streams[run] is None else next(streams[run]))
             while runs:  # a failing check retires the rows it marks and goes again with the rest
                 try:
                     if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
@@ -273,9 +272,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     _fill(data[:, filled:t], thetas, grads, pen, gammas)  # a new block at t + 1
                     for run in itertools.compress(runs, ~keep):
                         results[run] = exc.with_traceback(None)  # holds none of the loop's frames
-                    retired += zip(data[~keep, :t - 1], itertools.compress(paths, ~keep))
-                    runs, streams, paths = ([x for x, k in zip(per_run, keep) if k]
-                                            for per_run in (runs, streams, paths))
+                    retired += zip(data[~keep, :t - 1], itertools.compress(runs, ~keep))
+                    runs = list(itertools.compress(runs, keep))
                     theta, grad, data, gammas, thetas, grads, m, v = (array[keep] for array in (
                         theta, grad, data, gammas, thetas, grads, state.m, state.v))
                     state = AdamState(state.t, m, v)
@@ -291,8 +289,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 _fill(data[:, filled:done], thetas, grads, pen, gammas)
                 filled = done
             finally:  # a fill that fails leaves its steps out of every file
-                for rows, path in [*retired, *zip(data[:, :filled], paths)]:
-                    finishing.callback(_finish, rows, path)
+                for rows, run in [*retired, *zip(data[:, :filled], runs)]:
+                    finishing.callback(_finish, rows, trace_paths and trace_paths[run])
     for i, run in enumerate(runs):
         results[run] = (TrainingTrace(data[i]), theta[i])
     return results
@@ -343,25 +341,26 @@ def _lone(results):
 def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
     """Train on the source task with vanilla Adam from a seeded random init.
 
-    Persists theta_star and the pretraining trace under cfg.output_dir.
+    With write_outputs, a finished run publishes theta_star.bin, then pretrain_trace.csv,
+    in cfg.output_dir: a failed or interrupted run or checkpoint write keeps the old pair.
     """
     task = build_transfer_pair(cfg).source
     root = RandomSource(cfg.transfer.seed)
     theta0 = RANDOM_INIT_STD * root.child("pretrain-init").normal(task.dim)
-    trace_paths = None
+    out = Path(cfg.output_dir)
     if write_outputs:
-        out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        trace_paths = [out / "pretrain_trace.csv"]
     trace, theta = _lone(_run_loop(task, theta0[None], cfg.pretrain.steps,
                                    cfg.pretrain.batch_size, [root.child("pretrain-batches")],
-                                   trace_paths, PenaltyModel.none(np.zeros(task.dim)), "adam",
+                                   None, PenaltyModel.none(np.zeros(task.dim)), "adam",
                                    cfg.pretrain.optimizer))
     theta_star = theta.copy()
     theta_star.flags.writeable = False
     if write_outputs:
-        with _published(Path(cfg.output_dir) / "theta_star.bin") as tmp:
+        with _published(out / "theta_star.bin") as tmp:
             write_vector(tmp, theta_star)
+        (out / "pretrain_trace.csv").unlink(missing_ok=True)
+        _finish(trace.data, out / "pretrain_trace.csv")
     return theta_star, trace
 
 

@@ -112,6 +112,7 @@ class TestPretrain:
         # disk: the first checkpoint stays whole, and a later sweep reads it
         cfg = quad_cfg(tmp_path, **{"pretrain.steps": 100, "finetune.steps": 20})
         theta_star, _ = pretrain(cfg)
+        trace_bytes = (Path(cfg.output_dir) / "pretrain_trace.csv").read_bytes()
         real = harness.write_vector
 
         def half(path, values):
@@ -127,7 +128,49 @@ class TestPretrain:
         out = Path(cfg.output_dir)
         assert sorted(p.name for p in out.iterdir()) == ["pretrain_trace.csv", "theta_star.bin"]
         assert np.array_equal(read_vector(out / "theta_star.bin"), theta_star)
+        assert (out / "pretrain_trace.csv").read_bytes() == trace_bytes
         assert len(sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0,)})) == 1
+
+    def test_a_failed_trace_write_leaves_the_new_checkpoint_alone(self, tmp_path, monkeypatch):
+        # theta_star.bin is published and the earlier trace removed before the
+        # new trace is written: the new checkpoint is left beside no trace
+        # rather than beside the earlier run's
+        cfg = quad_cfg(tmp_path, **{"pretrain.steps": 100})
+        pretrain(cfg)
+        short = cfg.with_values({"pretrain.steps": 50})
+        theta_star, _ = pretrain(short, write_outputs=False)
+
+        def failing(self, rows):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        with pytest.raises(OSError, match="disk full"):
+            pretrain(short)
+        out = Path(cfg.output_dir)
+        assert sorted(p.name for p in out.iterdir()) == ["theta_star.bin"]  # no .tmp
+        assert np.array_equal(read_vector(out / "theta_star.bin"), theta_star)
+
+    def test_a_failed_pretrain_keeps_the_previous_pair(self, tmp_path, monkeypatch):
+        # a 60-step pretrain whose stepper fails at step 30 publishes nothing:
+        # the earlier checkpoint and trace stay, byte for byte
+        cfg = quad_cfg(tmp_path, **{"pretrain.steps": 100})
+        pretrain(cfg)
+        out = Path(cfg.output_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = harness.adam_step
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 30:
+                raise NumericError("non-finite values in gradient", step=30)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "adam_step", failing)
+        with pytest.raises(NumericError):
+            pretrain(cfg.with_values({"pretrain.steps": 60}))
+        assert sorted(before) == ["pretrain_trace.csv", "theta_star.bin"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestFinetune:
@@ -488,6 +531,21 @@ class TestBatchedSweep:
         assert statuses.count("ok") == 10
         assert set(statuses) - {"ok"} == {"failed:step43", "failed:step48"}
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_dataset_stack_whose_first_runs_fail_equals_lone_runs(self, tmp_path):
+        # both gamma=5000 runs are the first rows of the stack and fail at step
+        # 113, so the gamma=1 runs move up two rows and train on alone
+        cfg = config_from_values({
+            "transfer.kind": "logistic-regression", "transfer.dim": 6, "transfer.rho": 0.6,
+            "transfer.seed": 3, "transfer.n_samples": 64, "pretrain.steps": 50,
+            "pretrain.optimizer.alpha": 0.1, "finetune.steps": 150, "finetune.batch_size": 16,
+            "finetune.optimizer.kind": "recadam", "finetune.optimizer.alpha": 0.05,
+            "shifting.t0": 20, "output_dir": str(tmp_path / "exp")})
+        theta_star, _ = pretrain(cfg)
+        sweep(cfg, {"k": (0.05,), "t0": None, "gamma": (5000.0, 1.0), "seeds": (0, 1)})
+        statuses = assert_runs_match_lone_finetunes(cfg, theta_star, tmp_path / "lone")
+        assert statuses == ["failed:step113"] * 2 + ["ok"] * 2
+
     @pytest.mark.parametrize("kind, init", [("recadam", "random"),
                                             ("recadam-coupled", "pretrained")])
     def test_diagonal_fisher_grid_equals_lone_runs(self, tmp_path, monkeypatch, kind, init):
@@ -616,6 +674,27 @@ class TestBatchedSweep:
             ("non-finite values in penalty gradient", 1)]
         trace, _ = results[2]
         assert len(trace) == 5
+
+    def test_runs_that_go_on_draw_from_their_own_batch_streams(self):
+        # run 0 leaves the stack at step 1 (an infinite gamma), so runs 1 and 2
+        # move up a row and must still draw their own seeds' batches; in the
+        # dataset sweep whose first runs fail, a run that moved up shares its
+        # seed, so its batches, with the retired run whose row it took
+        task = gen_task("logistic-regression", 4, RandomSource(0), n_samples=60)
+
+        def run(gammas, seeds):
+            return harness._run_loop(
+                task, np.ones((len(seeds), 4)), 20, 8,
+                [RandomSource(seed).child("batches") for seed in seeds], None,
+                PenaltyModel.isotropic(np.zeros(4), 1.0), "recadam", AdamConfig(alpha=0.1),
+                anneals=[AnnealSchedule(0.1, 5)] * len(seeds), gammas=gammas)
+
+        stacked = run([np.inf, 1.0, 1.0], (0, 1, 2))
+        assert isinstance(stacked[0], NumericError) and stacked[0].step == 1
+        for seed, (trace, theta) in zip((1, 2), stacked[1:]):
+            [(lone_trace, lone_theta)] = run([1.0], (seed,))
+            assert np.array_equal(trace.data, lone_trace.data)
+            assert np.array_equal(theta, lone_theta)
 
     def test_an_error_mid_run_leaves_the_rows_before_it(self, tmp_path, monkeypatch):
         # the rows are written as the exception passes: every step the run took
