@@ -15,12 +15,13 @@ best/steps-to-threshold come from the trace's batch losses.
 
 One training loop, _run_loop, advances a stack of runs at once: theta and the Adam
 moments are (S, d) arrays with one run per row.  A step computes only what the update
-reads; the penalty, distance and gradient-norm columns are filled a block of at most
-_BLOCK rows at a time.  pretrain and finetune are its S = 1 case; sweep runs its grid
-through it in chunks of at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and
-every run's files are the same bytes a lone finetune writes.  One-entry memos hold the
-transfer pair and any Fisher diagonal: a process builds each once per key.  A failing
-check's NumericError.rows marks the runs that passed it; _run_loop retires the others.
+reads; the penalty, distance and gradient-norm columns are filled a block of
+max(_FILL_STEPS, _BLOCK // S) steps at a time.  pretrain and finetune are its S = 1
+case; sweep runs its grid through it in chunks of at most _SWEEP_CHUNK runs and
+_TRACE_ROW_BUDGET trace rows, and every run's files are the same bytes a lone finetune
+writes.  One-entry memos hold the transfer pair and any Fisher diagonal: a process builds
+each once per key.  A failing check's NumericError.rows marks the runs that passed it;
+_run_loop retires the others.
 """
 
 import contextlib
@@ -53,6 +54,7 @@ TRACE_COLUMNS = ("step", "lambda", "target_loss", "penalty_value",
                  "composite_loss", "dist_to_pretrained", "grad_norm", "eta")
 _ROW_FORMAT = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # a trace.csv row
 _ROW_BYTES, _BLOCK = _ROW_FORMAT.encode(), 64  # TraceWriter formats _BLOCK rows per %
+_FILL_STEPS = 8  # the fewest steps _run_loop fills at once, however many runs it stacks
 _STEP, _LAMBDA, _LOSS, _PENALTY, _COMPOSITE, _DIST, _GRAD_NORM, _ETA = range(len(TRACE_COLUMNS))
 
 RANDOM_INIT_STD = 0.02  # scaled-normal random initialization
@@ -206,6 +208,9 @@ _REPORT_KEYS = dict.fromkeys(  # the config.json keys report reads, all strings
     "finetune.optimizer.kind finetune.init shifting.k shifting.t0 penalty.gamma".split(), str)
 
 
+# the loop's own checks raise NumericError for a non-finite value, so the
+# warnings that kernels differ in (overflow, invalid) do not reach the caller
+@np.errstate(over="ignore", invalid="ignore")
 def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kind, adam_cfg,
               weight_decay=0.0, schedule=ScheduleMultiplier(), anneals=None, gammas=None):
     """The one training loop: it advances S runs at once, one per row of
@@ -214,7 +219,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     No file exists while the stack trains: at its exit, with its result or an exception,
     _finish writes run i's rows to trace_paths[i] (None, as pretrain passes: no file).
     A step computes only what the update reads; _fill makes the other columns
-    from a block of at most _BLOCK rows of the steps' theta and gradient.  Each
+    from a block of max(_FILL_STEPS, _BLOCK // S) steps of theta and gradient.  Each
     row of every (S, d) array is bit-identical to the run alone.  Returns per
     run (trace, final theta), or a NumericError for a run whose loss, gradient
     or penalty gradient was not finite at step t (the first check it failed): its
@@ -239,7 +244,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
-    thetas, grads = np.empty((2, len(theta), max(1, _BLOCK // len(theta)), theta.shape[1]))
+    thetas, grads = np.empty((2, len(theta), max(_FILL_STEPS, _BLOCK // len(theta)),
+                              theta.shape[1]))
     results = [None] * len(theta)
     done = filled = 0  # the steps every run in the stack has taken, and has filled
     passing = True  # until the loop ends, an exception may be in flight

@@ -122,7 +122,10 @@ def _adaptive_step(theta, state: AdamState, config: AdamConfig, grad,
     v += (1 - config.beta2) * (grad * grad)
     adaptive = m / (1 - config.beta1**t)
     adaptive *= scale
-    adaptive /= np.sqrt(v / (1 - config.beta2**t)) + config.eps
+    denominator = v / (1 - config.beta2**t)  # then sqrt and + eps in place: the same bits
+    np.sqrt(denominator, out=denominator)
+    denominator += config.eps
+    adaptive /= denominator
     return adaptive, AdamState(t, m, v)
 
 

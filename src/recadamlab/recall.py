@@ -1,10 +1,11 @@
 """Recall penalties approximating the source objective without its data.
 
-The chain, from exact to cheapest: a quadratic (Laplace) expansion with
-the true Hessian, the diagonal empirical Fisher scaled by the observation
-count, and finally a single isotropic coefficient gamma.  Quadratic tasks
-are the exactness oracle for the first step: their Hessian is the
-curvature matrix itself, so the expansion reproduces the loss.
+Each penalty is a quadratic pull toward the pretrained anchor theta*.  Two
+kinds weight it: the diagonal empirical Fisher of the source task at theta*,
+scaled by the observation count (EWC), and, cheapest, one isotropic
+coefficient gamma.  The kind "none" has zero value and gradient.  The Fisher
+diagonal comes from the task's per-sample log-likelihood gradients, so only
+the dataset kinds have one.
 """
 
 import math

@@ -18,6 +18,7 @@ noise is drawn once and shared between source and target so rho = 1 yields
 an identical task.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -190,7 +191,9 @@ class MlpTask(Task):
     """One-hidden-layer tanh network with softmax cross entropy.
 
     Parameters pack as [W1 (hidden x dim_in), b1, W2 (classes x hidden), b2],
-    d = hidden * (dim_in + 1) + classes * (hidden + 1).
+    d = hidden * (dim_in + 1) + classes * (hidden + 1).  loss_and_grad writes
+    dW1, db1, dW2 and db2 straight into the same views (``_unpack``) of one
+    flat gradient vector of length d.
     """
 
     dim_in: int
@@ -209,24 +212,34 @@ class MlpTask(Task):
                 self.labels, range(self.classes)).all():
             raise ValueError(f"labels must be integers in [0, {self.classes})")
 
+    def _unpack(self, theta):
+        """Views (W1, b1, W2, b2) into a flat parameter or gradient vector theta."""
+        h, din, C = self.hidden, self.dim_in, self.classes
+        i, j, k = h * din, h * (din + 1), h * (din + 1 + C)
+        return theta[:i].reshape(h, din), theta[i:j], theta[j:k].reshape(C, h), theta[k:]
+
     def _forward(self, theta, X, y):
         """Unpack theta once and run the batch (X, y) through the network: (W2,
-        hidden activations, per-sample cross entropy, per-sample dCE/dlogits)."""
-        h, din, C = self.hidden, self.dim_in, self.classes
-        i = 0
-        W1 = theta[i:i + h * din].reshape(h, din); i += h * din
-        b1 = theta[i:i + h]; i += h
-        W2 = theta[i:i + C * h].reshape(C, h); i += C * h
-        b2 = theta[i:i + C]
-        H = np.tanh(X @ W1.T + b1)
-        logits = H @ W2.T + b2
-        mx = logits.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-        rows = np.arange(y.size)
-        ce = lse - logits[rows, y]
+        hidden activations, per-sample cross entropy, per-sample dCE/dlogits).
+        The class-axis max is a chain of np.maximum over the columns (a max is
+        exact in any order); the class-axis sum is the np.add.reduce that .sum
+        calls, so both keep the bits of logits.max(axis=1) and .sum(axis=1)."""
+        W1, b1, W2, b2 = self._unpack(theta)
+        H = np.dot(X, W1.T)
+        H += b1
+        np.tanh(H, out=H)
+        logits = np.dot(H, W2.T)
+        logits += b2
+        mx = functools.reduce(np.maximum, logits.T)
+        shifted = logits - mx[:, None]
+        lse = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1))
+        lse += mx
+        labelled = np.arange(0, logits.size, self.classes)  # flat index of each label logit
+        labelled += y.astype(np.intp, copy=False)
+        ce = lse - logits.take(labelled)
         logits -= lse[:, None]
         dlogits = np.exp(logits, out=logits)  # the softmax, then minus the one-hot labels
-        dlogits[rows, y] -= 1.0
+        dlogits.reshape(-1)[labelled] -= 1.0
         return W2, H, ce, dlogits
 
     def loss_and_grad(self, theta, batch=None):
@@ -235,13 +248,16 @@ class MlpTask(Task):
         n = y.size
         loss = float(ce.sum() / n)
         dlogits /= n
-        dW2 = dlogits.T @ H
-        db2 = dlogits.sum(axis=0)
-        dH = dlogits @ W2
-        dZ1 = dH * (1.0 - H * H)
-        dW1 = dZ1.T @ X
-        db1 = dZ1.sum(axis=0)
-        return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+        grad = np.empty(self.dim, H.dtype)  # float32 for a float32 task and theta
+        dW1, db1, dW2, db2 = self._unpack(grad)
+        np.dot(dlogits.T, H, out=dW2)
+        np.add.reduce(dlogits, axis=0, out=db2)  # the call dlogits.sum(axis=0) makes
+        dZ1 = np.dot(dlogits, W2)
+        H *= H
+        dZ1 *= np.subtract(1.0, H, out=H)  # tanh' = 1 - H * H, over H: its last reader
+        np.dot(dZ1.T, X, out=dW1)
+        np.add.reduce(dZ1, axis=0, out=db1)
+        return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
         X, y = self._batch(theta, indices, self.labels)

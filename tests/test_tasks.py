@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -216,6 +217,107 @@ class TestMlp:
         noisy = gen_task("mlp-1h", 0, RandomSource(7), **sizes, label_noise=0.3)
         assert np.array_equal(clean.features, noisy.features)
         assert 0 < np.sum(clean.labels != noisy.labels) < 400
+
+
+def _oracle_forward(task, theta, X, y):
+    """The reference MLP forward pass, with NumPy's own reductions and 2-D indexing:
+    the expressions every pinned mlp-1h trace was made with."""
+    h, din, C = task.hidden, task.dim_in, task.classes
+    i = 0
+    W1 = theta[i:i + h * din].reshape(h, din); i += h * din
+    b1 = theta[i:i + h]; i += h
+    W2 = theta[i:i + C * h].reshape(C, h); i += C * h
+    b2 = theta[i:i + C]
+    H = np.tanh(X @ W1.T + b1)
+    logits = H @ W2.T + b2
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    rows = np.arange(y.size)
+    ce = lse - logits[rows, y]
+    logits -= lse[:, None]
+    dlogits = np.exp(logits, out=logits)
+    dlogits[rows, y] -= 1.0
+    return W2, H, ce, dlogits
+
+
+def _oracle_loss_and_grad(task, theta, X, y):
+    W2, H, ce, dlogits = _oracle_forward(task, theta, X, y)
+    n = y.size
+    loss = float(ce.sum() / n)
+    dlogits /= n
+    dW2 = dlogits.T @ H
+    db2 = dlogits.sum(axis=0)
+    dH = dlogits @ W2
+    dZ1 = dH * (1.0 - H * H)
+    dW1 = dZ1.T @ X
+    db1 = dZ1.sum(axis=0)
+    return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+
+
+def _oracle_per_sample_loglik_grads(task, theta, X, y):
+    W2, H, _, dlogits = _oracle_forward(task, theta, X, y)
+    n = y.size
+    dW2 = np.einsum("bc,bh->bch", dlogits, H)
+    dH = dlogits @ W2
+    dZ1 = dH * (1.0 - H * H)
+    dW1 = np.einsum("bh,bd->bhd", dZ1, X)
+    return -np.concatenate([dW1.reshape(n, -1), dZ1, dW2.reshape(n, -1), dlogits], axis=1)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestMlpBits:
+    """The MLP's loss and gradients are bit-equal to the oracle expressions above,
+    whatever NumPy calls compute them."""
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 5])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+    def test_loss_and_gradients_match_the_oracle_bitwise(self, classes, scale):
+        task = gen_task("mlp-1h", 0, RandomSource(classes), dim_in=3, hidden=7,
+                        classes=classes, n_samples=300)
+        rng = np.random.default_rng(classes)
+        *_, short_last = itertools.islice(batch_stream(300, 64, RandomSource(9)), 5)
+        assert short_last.size == 44  # the last batch of an epoch
+        batches = [np.array([11]), rng.permutation(300)[:64], short_last, None]
+        for _ in range(4):
+            theta = scale * rng.standard_normal(task.dim)
+            for batch in batches:
+                rows = np.arange(300) if batch is None else batch
+                X, y = task.features[rows], task.labels[rows]
+                loss, grad = task.loss_and_grad(theta, batch)
+                want_loss, want_grad = _oracle_loss_and_grad(task, theta, X, y)
+                assert _bits(loss) == _bits(want_loss)
+                assert np.array_equal(_bits(grad), _bits(want_grad))
+                got = task.per_sample_loglik_grads(theta, rows)
+                want = _oracle_per_sample_loglik_grads(task, theta, X, y)
+                assert np.array_equal(_bits(got), _bits(want))
+
+    def test_a_float32_task_and_theta_match_the_oracle_bitwise(self):
+        task = gen_task("mlp-1h", 0, RandomSource(6), dim_in=3, hidden=5, classes=3,
+                        n_samples=50)
+        task32 = MlpTask(3, 5, 3, task.features.astype(np.float32), task.labels)
+        theta = np.random.default_rng(6).standard_normal(task.dim).astype(np.float32)
+        rows = np.arange(9)
+        loss, grad = task32.loss_and_grad(theta, rows)
+        want_loss, want_grad = _oracle_loss_and_grad(task32, theta, task32.features[rows],
+                                                     task32.labels[rows])
+        assert grad.dtype == want_grad.dtype == np.float32
+        assert _bits(loss) == _bits(want_loss)
+        assert np.array_equal(grad.view(np.int32), want_grad.view(np.int32))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_labels_of_any_integer_dtype_give_the_same_bits(self, dtype):
+        task = gen_task("mlp-1h", 0, RandomSource(4), dim_in=3, hidden=5, classes=3,
+                        n_samples=50)
+        other = MlpTask(3, 5, 3, task.features, task.labels.astype(dtype))
+        theta = np.random.default_rng(4).standard_normal(task.dim)
+        for batch in (np.arange(7), None):
+            loss, grad = task.loss_and_grad(theta, batch)
+            other_loss, other_grad = other.loss_and_grad(theta, batch)
+            assert _bits(loss) == _bits(other_loss)
+            assert np.array_equal(_bits(grad), _bits(other_grad))
 
 
 class TestTransferPairs:
