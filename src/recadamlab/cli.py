@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import load_config, load_grid
 from .errors import ConfigError, NoDataError, NumericError
-from .harness import _read_theta_star, finetune, pretrain, report, sweep
+from .harness import _LOSS, _read_theta_star, finetune, pretrain, report, sweep
 # perfbench/tracer.py wraps read_vector under this module's name, so it stays importable here
 from .storage import read_vector  # noqa: F401
 
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             theta_star, trace = pretrain(cfg)
             print(f"pretrained {theta_star.size} parameters for {len(trace)} steps; "
-                  f"final source loss {trace.column('target_loss')[-1]:.6g}")
+                  f"final source loss {trace[-1, _LOSS]:.6g}")
             print(f"wrote {Path(cfg.output_dir) / 'theta_star.bin'}")
         elif args.command == "finetune":
             cfg = load_config(args.config)

@@ -243,10 +243,6 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     return config_from_values(parse_flat_text(_read_file(path, "config")))
 
 
-def format_config(cfg: ExperimentConfig) -> str:
-    return _lines(cfg.to_flat()) + "\n"
-
-
 _GRID_KEYS = {"k": _list_of(_float), "t0": _list_of(_int),
               "gamma": _list_of(_float), "seeds": _list_of(_int)}
 

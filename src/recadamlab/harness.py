@@ -3,9 +3,10 @@ r"""Experiment orchestration: pretrain, finetune, sweeps, and reports.
 Each fine-tuning step logs one trace row describing the state the step consumed: step
 index t, lambda(t), batch target loss and penalty value at theta_{t-1}, their
 lambda-mixture, distance to the pretrained anchor, gradient norm, and eta_t.  In memory
-a trace is one (n_steps, 8) float64 array; on disk it is CSV with 17-significant-digit
-floats, written by _finish, one row per step taken (a failing step writes none): as a
-fine-tuning stack exits, also on an exception, and for pretrain after theta_star.bin.
+a trace is one (n_steps, 8) float64 array with the TRACE_COLUMNS, as pretrain, finetune
+and read_trace return it; on disk it is CSV with 17-significant-digit floats, written by
+_finish, one row per step taken (a failing step writes none): as a fine-tuning stack
+exits, also on an exception, and for pretrain after theta_star.bin.
 Every file of a run dir, theta_star.bin and the sweep and report tables go to <name>.tmp
 and are renamed into place, so a kill or a failed write leaves no part-written file.  Trace
 lines end with "\n"; the report CSVs end theirs with "\r\n", as the csv module writes
@@ -15,7 +16,7 @@ best/steps-to-threshold come from the trace's batch losses.
 
 One training loop, _run_loop, advances a stack of runs at once: theta and the Adam
 moments are (S, d) arrays with one run per row.  A step computes only what the update
-reads; the penalty, distance and gradient-norm columns are filled a block of
+reads; the penalty, composite, distance and gradient-norm columns are filled a block of
 max(_FILL_STEPS, _BLOCK // S) steps at a time.  pretrain and finetune are its S = 1
 case; sweep runs its grid through it in chunks of at most _SWEEP_CHUNK runs and
 _TRACE_ROW_BUDGET trace rows, and every run's files are the same bytes a lone finetune
@@ -64,21 +65,6 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-class TrainingTrace:
-    """Per-step experiment record: ``data`` is an (n_steps, 8) float64 array
-    whose columns are TRACE_COLUMNS, one row per step."""
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64).reshape(-1, len(TRACE_COLUMNS))
-
-    def column(self, name: str) -> np.ndarray:
-        """A view of one column; do not write to it."""
-        return self.data[:, TRACE_COLUMNS.index(name)]
-
-    def __len__(self):
-        return len(self.data)
-
-
 class TraceWriter:
     """A trace.csv file: the header on opening, then a run's rows, in write_rows."""
 
@@ -109,9 +95,9 @@ def _write_blocks(fh, row: bytes, rows: np.ndarray) -> np.ndarray:
     return rows[whole:]
 
 
-def read_trace(path: str | os.PathLike) -> TrainingTrace:
-    """Load a trace file in one parse.  A wrong header, a row without one
-    number per column, a cell that is not a number or a step column other
+def read_trace(path: str | os.PathLike) -> np.ndarray:
+    """Load a trace file in one parse, as an (n_steps, 8) array.  A wrong header, a row
+    without one number per column, a cell that is not a number or a step column other
     than 1, 2, ..., n is NoDataError; blank lines are skipped."""
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]))
@@ -119,7 +105,7 @@ def read_trace(path: str | os.PathLike) -> TrainingTrace:
     if tuple(header) != TRACE_COLUMNS:
         raise NoDataError(f"unexpected trace header in {path}")
     if not has_rows:  # loadtxt warns on an input without rows
-        return TrainingTrace(())
+        return np.empty((0, len(TRACE_COLUMNS)))
     try:
         # given the path, loadtxt reads the file in chunks, not line by line
         data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
@@ -129,7 +115,7 @@ def read_trace(path: str | os.PathLike) -> TrainingTrace:
         raise NoDataError(f"malformed trace {path}: {data.shape[1]} columns")
     if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise NoDataError(f"malformed trace {path}: steps are not 1, 2, ..., {len(data)}")
-    return TrainingTrace(data)
+    return data
 
 
 def _read_theta_star(path: str | os.PathLike) -> np.ndarray:
@@ -182,11 +168,9 @@ def build_penalty(cfg: ExperimentConfig, theta_star: np.ndarray) -> PenaltyModel
     if theta_star.size != (dim := build_transfer_pair(cfg).target.dim):
         raise ConfigError(f"theta_star length {theta_star.size} != task dim {dim}")
     pen = cfg.penalty
-    if pen.kind == "none":
-        return PenaltyModel.none(theta_star)
-    if pen.kind == "isotropic":
-        return PenaltyModel.isotropic(theta_star, pen.gamma)
-    return PenaltyModel.diagonal_fisher(theta_star, *_fisher_of(
+    if pen.kind != "diagonal-fisher":
+        return PenaltyModel(pen.kind, theta_star, pen.gamma if pen.kind == "isotropic" else 0.0)
+    return PenaltyModel(pen.kind, theta_star, 0.0, *_fisher_of(
         pen.fisher_samples, np.asarray(theta_star, np.float64).tobytes(), **vars(cfg.transfer)))
 
 
@@ -298,21 +282,23 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 for rows, run in [*retired, *zip(data[:, :filled], runs)]:
                     finishing.callback(_finish, rows, trace_paths and trace_paths[run])
     for i, run in enumerate(runs):
-        results[run] = (TrainingTrace(data[i]), theta[i])
+        results[run] = (data[i], theta[i])
     return results
 
 
 def _fill(rows, thetas, grads, pen, gammas) -> None:
-    """Fill the penalty, distance and gradient-norm columns of rows (S, n, 8), n steps at once."""
+    """Fill the penalty, composite, distance and gradient-norm columns of rows (S, n, 8),
+    n steps at once."""
     n = rows.shape[1]
     rows[:, :, _PENALTY], rows[:, :, _DIST] = _penalty_values(pen, thetas[:, :n], gammas)
+    rows[:, :, _COMPOSITE] = composite_loss(rows[:, :, _LAMBDA], rows[:, :, _LOSS],
+                                            rows[:, :, _PENALTY])
     rows[:, :, _GRAD_NORM] = np.sqrt((grads[:, :n] * grads[:, :n]).sum(axis=-1))
 
 
 def _finish(rows, path) -> None:
-    """A run's exit, the only code that touches a trace file: fill its rows' composite
-    column, then publish the header and rows to path (None: no file)."""
-    rows[:, _COMPOSITE] = composite_loss(rows[:, _LAMBDA], rows[:, _LOSS], rows[:, _PENALTY])
+    """A run's exit, the only code that touches a trace file: publish the header and its
+    filled rows to path (None: no file)."""
     if path is not None:
         with _published(path) as tmp, contextlib.closing(TraceWriter(tmp)) as writer:
             writer.write_rows(rows)
@@ -358,7 +344,7 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
         out.mkdir(parents=True, exist_ok=True)
     trace, theta = _lone(_run_loop(task, theta0[None], cfg.pretrain.steps,
                                    cfg.pretrain.batch_size, [root.child("pretrain-batches")],
-                                   None, PenaltyModel.none(np.zeros(task.dim)), "adam",
+                                   None, PenaltyModel("none", np.zeros(task.dim)), "adam",
                                    cfg.pretrain.optimizer))
     theta_star = theta.copy()
     theta_star.flags.writeable = False
@@ -366,7 +352,7 @@ def pretrain(cfg: ExperimentConfig, write_outputs: bool = True):
         with _published(out / "theta_star.bin") as tmp:
             write_vector(tmp, theta_star)
         (out / "pretrain_trace.csv").unlink(missing_ok=True)
-        _finish(trace.data, out / "pretrain_trace.csv")
+        _finish(trace, out / "pretrain_trace.csv")
     return theta_star, trace
 
 
@@ -416,14 +402,14 @@ def finetune(cfg: ExperimentConfig, theta_star: np.ndarray, seed: int,
     return _lone(_finetune_runs(task, pen, theta_star, [(cfg, seed, run_dir)]))
 
 
-def summarize(trace: TrainingTrace, task, theta_final, theta_star, seed: int,
+def summarize(trace: np.ndarray, task, theta_final, theta_star, seed: int,
               config_hash: str, loss_threshold: Optional[float]) -> RunSummary:
-    losses = trace.column("target_loss")
+    losses = trace[:, _LOSS]
     steps_to = None
     if loss_threshold is not None:
         hits = np.nonzero(losses < loss_threshold)[0]
         if hits.size:
-            steps_to = int(trace.column("step")[hits[0]])
+            steps_to = int(trace[hits[0], _STEP])
     return RunSummary(
         final_target_loss=float(task.loss_and_grad(theta_final, None)[0]),
         best_target_loss=float(losses.min()),
@@ -562,7 +548,7 @@ def _discover_runs(run_dir: Path):
             continue
         flat, k = _read_json(config_path, _report_config, _REPORT_KEYS)
         runs.append({"flat": flat, "k": k,
-                     "curves": read_trace(trace_path).data[:, [_LOSS, _DIST]],
+                     "curves": read_trace(trace_path)[:, [_LOSS, _DIST]],
                      "summary": _read_json(summary_path, RunSummary, RunSummary.__annotations__)})
     return runs
 

@@ -51,19 +51,6 @@ class PenaltyModel:
             if self.n_obs < 1:
                 raise ValueError("n_obs must be >= 1")
 
-    @classmethod
-    def none(cls, theta_star: np.ndarray) -> "PenaltyModel":
-        return cls("none", theta_star)
-
-    @classmethod
-    def isotropic(cls, theta_star: np.ndarray, gamma: float) -> "PenaltyModel":
-        return cls("isotropic", theta_star, gamma=gamma)
-
-    @classmethod
-    def diagonal_fisher(cls, theta_star: np.ndarray, fisher_diag: np.ndarray,
-                        n_obs: int) -> "PenaltyModel":
-        return cls("diagonal-fisher", theta_star, fisher_diag=fisher_diag, n_obs=n_obs)
-
 
 def _penalty_parts(pen: PenaltyModel, theta: np.ndarray, gamma=None):
     """(diff = theta - theta_star, diff weighted by the curvature, scale) for runs theta

@@ -263,9 +263,9 @@ def test_criterion_5_gradient_correctness():
     for trial in range(20):
         dim = int(rng.integers(2, 10))
         anchor = rng.normal(size=dim)
-        models = [PenaltyModel.isotropic(anchor, float(rng.uniform(0.5, 50))),
-                  PenaltyModel.diagonal_fisher(anchor, rng.uniform(0, 4, dim),
-                                               int(rng.integers(1, 20)))]
+        models = [PenaltyModel("isotropic", anchor, float(rng.uniform(0.5, 50))),
+                  PenaltyModel("diagonal-fisher", anchor, fisher_diag=rng.uniform(0, 4, dim),
+                               n_obs=int(rng.integers(1, 20)))]
         theta = anchor + rng.normal(size=dim)
         for pen in models:
             exact = penalty_grad(pen, theta)
@@ -292,8 +292,8 @@ def test_criterion_6_pretraining_simulation_exactness():
 
     anchor = RandomSource(601).normal(10)
     theta = RandomSource(602).normal(10)
-    iso = PenaltyModel.isotropic(anchor, 5000.0)
-    fisher = PenaltyModel.diagonal_fisher(anchor, np.ones(10), 5000)
+    iso = PenaltyModel("isotropic", anchor, 5000.0)
+    fisher = PenaltyModel("diagonal-fisher", anchor, fisher_diag=np.ones(10), n_obs=5000)
     assert penalty_loss(iso, theta) == penalty_loss(fisher, theta)
     assert np.array_equal(penalty_grad(iso, theta), penalty_grad(fisher, theta))
 

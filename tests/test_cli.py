@@ -1,6 +1,9 @@
+import csv
+
 import pytest
 
 from recadamlab.cli import main
+from recadamlab.config import load_config
 
 CONFIG = """
 transfer.kind=quadratic
@@ -52,6 +55,18 @@ def test_full_cli_workflow(tmp_path, config_path, capsys):
     assert (out / "summary_median.csv").exists()
     printed = capsys.readouterr().out
     assert "wrote" in printed
+
+
+def test_pretrain_prints_its_steps_and_final_source_loss(tmp_path, config_path, capsys):
+    # the step count is pretrain.steps, the loss the last target_loss cell of the trace
+    steps = load_config(config_path).pretrain.steps
+    assert main(["pretrain", "--config", str(config_path)]) == 0
+    with open(tmp_path / "exp" / "pretrain_trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == steps
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == (f"pretrained 8 parameters for {steps} steps; "
+                     f"final source loss {float(rows[-1]['target_loss']):.6g}")
 
 
 def test_finetune_default_seed_comes_from_config(tmp_path, config_path):

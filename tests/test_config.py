@@ -2,8 +2,7 @@ import re
 
 import pytest
 
-from recadamlab.config import (config_from_values, format_config, load_config,
-                               load_grid, parse_flat_text)
+from recadamlab.config import config_from_values, load_config, load_grid, parse_flat_text
 from recadamlab.errors import ConfigError
 
 BASE = """
@@ -39,9 +38,14 @@ def test_parse_and_defaults():
     assert cfg.shifting.t0 == 50
 
 
+def config_text(cfg):
+    """cfg as a config file: its sorted to_flat key=value lines."""
+    return "".join(f"{key}={value}\n" for key, value in sorted(cfg.to_flat().items()))
+
+
 def test_roundtrip_through_format():
     cfg = config_from_values(parse_flat_text(BASE))
-    clone = config_from_values(parse_flat_text(format_config(cfg)))
+    clone = config_from_values(parse_flat_text(config_text(cfg)))
     assert clone == cfg
 
 
@@ -253,9 +257,9 @@ def test_config_hash_is_pinned():
         assert config_from_values(parse_flat_text(text)).config_hash() == expected
 
 
-def test_format_config_is_pinned():
+def test_config_text_is_pinned():
     mlp = config_from_values(parse_flat_text(MLP_TEXT))
-    assert format_config(mlp) == """\
+    assert config_text(mlp) == """\
 finetune.batch_size=32
 finetune.init=pretrained
 finetune.loss_threshold=0.25
@@ -294,7 +298,7 @@ transfer.rho=0.7
 transfer.seed=0
 """
     quad = config_from_values(parse_flat_text(BASE))
-    assert format_config(quad) == """\
+    assert config_text(quad) == """\
 finetune.batch_size=32
 finetune.init=pretrained
 finetune.optimizer.alpha=0.05

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -84,7 +85,7 @@ class TestPretrain:
     def test_quadratic_source_converges(self, tmp_path):
         cfg = quad_cfg(tmp_path)
         theta_star, trace = pretrain(cfg)
-        assert trace.column("target_loss")[-1] < 1e-8
+        assert trace[:, TRACE_COLUMNS.index("target_loss")][-1] < 1e-8
         assert len(trace) == 2000
         assert (Path(cfg.output_dir) / "theta_star.bin").exists()
         saved = read_vector(Path(cfg.output_dir) / "theta_star.bin")
@@ -93,8 +94,8 @@ class TestPretrain:
     def test_penalty_columns_are_zero(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"pretrain.steps": 50})
         _, trace = pretrain(cfg)
-        assert np.array_equal(trace.column("penalty_value"), np.zeros(50))
-        assert np.array_equal(trace.column("lambda"), np.ones(50))
+        assert np.array_equal(trace[:, TRACE_COLUMNS.index("penalty_value")], np.zeros(50))
+        assert np.array_equal(trace[:, TRACE_COLUMNS.index("lambda")], np.ones(50))
 
     def test_same_config_same_theta_star_bitwise(self, tmp_path):
         cfg_a = quad_cfg(tmp_path / "a", **{"pretrain.steps": 400})
@@ -102,6 +103,17 @@ class TestPretrain:
         ta, _ = pretrain(cfg_a)
         tb, _ = pretrain(cfg_b)
         assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("quadratic", "5f72b184ecc2faaf627e347c41b388a2950f02e034365f0e76310b3990b89a3b"),
+        ("logistic-regression",
+         "edbf523045b0824fa649a9d0eaa08a2b51ae3a24aa59478955e11615fbf55193")])
+    def test_pretrain_trace_is_pinned(self, tmp_path, kind, digest):
+        # sha256 of pretrain_trace.csv; 130 steps are fill blocks of 64, 64 and 2 rows
+        cfg = quad_cfg(tmp_path, **{"transfer.kind": kind, "pretrain.steps": 130})
+        pretrain(cfg)
+        trace_bytes = (Path(cfg.output_dir) / "pretrain_trace.csv").read_bytes()
+        assert hashlib.sha256(trace_bytes).hexdigest() == digest
 
     def test_zero_steps_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -178,9 +190,9 @@ class TestFinetune:
         cfg = quad_cfg(tmp_path, **{"penalty.gamma": 0.0})
         theta_star, _ = pretrain(cfg)
         trace, _ = finetune(cfg, theta_star, seed=0)
-        assert np.array_equal(trace.column("penalty_value"), np.zeros(300))
+        assert np.array_equal(trace[:, TRACE_COLUMNS.index("penalty_value")], np.zeros(300))
         # lambda schedule still active
-        assert trace.column("lambda")[-1] > trace.column("lambda")[0]
+        assert trace[-1, TRACE_COLUMNS.index("lambda")] > trace[0, TRACE_COLUMNS.index("lambda")]
 
     def test_saturated_shifting_reduces_to_adam_bitwise(self, tmp_path):
         cfg = quad_cfg(tmp_path)
@@ -189,10 +201,10 @@ class TestFinetune:
         adam_cfg = cfg.with_values({"finetune.optimizer.kind": "adam"})
         rec_trace, _ = finetune(rec_cfg, theta_star, seed=0)
         adam_trace, _ = finetune(adam_cfg, theta_star, seed=0)
-        assert np.array_equal(rec_trace.column("target_loss"),
-                              adam_trace.column("target_loss"))
-        assert np.array_equal(rec_trace.column("dist_to_pretrained"),
-                              adam_trace.column("dist_to_pretrained"))
+        assert np.array_equal(rec_trace[:, TRACE_COLUMNS.index("target_loss")],
+                              adam_trace[:, TRACE_COLUMNS.index("target_loss")])
+        assert np.array_equal(rec_trace[:, TRACE_COLUMNS.index("dist_to_pretrained")],
+                              adam_trace[:, TRACE_COLUMNS.index("dist_to_pretrained")])
 
     def test_identical_tasks_start_at_the_optimum(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"transfer.rho": 1.0,
@@ -200,20 +212,20 @@ class TestFinetune:
                                     "finetune.init": "pretrained"})
         theta_star, _ = pretrain(cfg)
         trace, _ = finetune(cfg, theta_star, seed=0)
-        assert trace.column("target_loss")[0] < 1e-6
+        assert trace[:, TRACE_COLUMNS.index("target_loss")][0] < 1e-6
 
     def test_early_recall_dip_from_random_init(self, tmp_path):
         cfg = quad_cfg(tmp_path)  # k=0.1, gamma=1, init=random
         theta_star, _ = pretrain(cfg)
         trace, _ = finetune(cfg, theta_star, seed=0)
-        dist = trace.column("dist_to_pretrained")
+        dist = trace[:, TRACE_COLUMNS.index("dist_to_pretrained")]
         assert dist[49] < dist[0]
 
     def test_lambda_is_nondecreasing_and_final_row_is_max(self, tmp_path):
         cfg = quad_cfg(tmp_path)
         theta_star, _ = pretrain(cfg)
         trace, _ = finetune(cfg, theta_star, seed=1)
-        lam = trace.column("lambda")
+        lam = trace[:, TRACE_COLUMNS.index("lambda")]
         assert np.all(lam[-1] >= lam)
 
     def test_trace_files_are_byte_identical_across_reruns(self, tmp_path):
@@ -233,8 +245,8 @@ class TestFinetune:
         assert len(lines) == 6
         # 17-significant-digit reals reload to the exact binary values
         reloaded = read_trace(tmp_path / "run" / "trace.csv")
-        assert trace.data.shape == reloaded.data.shape == (5, len(TRACE_COLUMNS))
-        assert trace.data.tobytes() == reloaded.data.tobytes()
+        assert trace.shape == reloaded.shape == (5, len(TRACE_COLUMNS))
+        assert trace.tobytes() == reloaded.tobytes()
 
     @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 130])
     def test_write_rows_gives_the_bytes_of_one_format_a_row(self, tmp_path, n_rows):
@@ -255,11 +267,11 @@ class TestFinetune:
         cfg = cfg.with_values({"finetune.loss_threshold": 1e-3})
         theta_star, _ = pretrain(cfg)
         trace, summary = finetune(cfg, theta_star, seed=0)
-        assert summary.best_target_loss == trace.column("target_loss").min()
+        assert summary.best_target_loss == trace[:, TRACE_COLUMNS.index("target_loss")].min()
         assert summary.final_dist_to_pretrained >= 0
         assert summary.seed == 0
         assert summary.config_hash == cfg.config_hash()
-        losses = trace.column("target_loss")
+        losses = trace[:, TRACE_COLUMNS.index("target_loss")]
         first = np.nonzero(losses < 1e-3)[0]
         expected = int(first[0]) + 1 if first.size else None
         assert summary.steps_to_threshold == expected
@@ -281,16 +293,16 @@ class TestFinetune:
                                "finetune.schedule.warmup_steps": 20_000})
         theta_star, _ = pretrain(cfg)
         trace, summary = finetune(cfg, theta_star, seed=0)
-        assert np.all(np.isfinite(trace.column("penalty_value")))
-        assert np.all(trace.column("penalty_value") >= 0)
-        assert trace.column("penalty_value").max() > 0
+        assert np.all(np.isfinite(trace[:, TRACE_COLUMNS.index("penalty_value")]))
+        assert np.all(trace[:, TRACE_COLUMNS.index("penalty_value")] >= 0)
+        assert trace[:, TRACE_COLUMNS.index("penalty_value")].max() > 0
 
 
     def test_no_penalty_ignores_gamma(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"penalty.kind": "none", "finetune.steps": 60})
         theta_star, _ = pretrain(cfg, write_outputs=False)
         trace, _ = finetune(cfg, theta_star, seed=0, run_dir=tmp_path / "g1")
-        assert np.array_equal(trace.column("penalty_value"), np.zeros(60))
+        assert np.array_equal(trace[:, TRACE_COLUMNS.index("penalty_value")], np.zeros(60))
         finetune(cfg.with_values({"penalty.gamma": 50.0}), theta_star, seed=0,
                  run_dir=tmp_path / "g50")
         assert ((tmp_path / "g1" / "trace.csv").read_bytes()
@@ -303,7 +315,7 @@ class TestFinetune:
         trace, summary = finetune(cfg, theta_star, seed=0)
         # the coupled variant folds the penalty into the adapted gradient, so
         # even gamma=5000 stays bounded by the Adam step size
-        assert np.all(np.isfinite(trace.column("target_loss")))
+        assert np.all(np.isfinite(trace[:, TRACE_COLUMNS.index("target_loss")]))
         assert np.isfinite(summary.final_target_loss)
 
     def test_stepper_table_holds_every_optimizer_kind(self):
@@ -376,7 +388,7 @@ class TestSweep:
         trace = read_trace(run_dir / "trace.csv")
         # distance column is measured against the stored checkpoint
         _, direct = finetune(cfg, mutated, seed=0)
-        assert trace.column("dist_to_pretrained")[-1] > 0
+        assert trace[:, TRACE_COLUMNS.index("dist_to_pretrained")][-1] > 0
         assert direct.final_dist_to_pretrained > 0
 
 
@@ -638,7 +650,7 @@ class TestBatchedSweep:
         gammas = [np.inf if bad == "penalty gradient" else 1.0, 1.0][:n_runs]
         results = harness._run_loop(
             Bowl(), np.ones((n_runs, 2)), 5, 1, [None] * n_runs, None,
-            PenaltyModel.isotropic(np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
+            PenaltyModel("isotropic", np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
             anneals=[AnnealSchedule(0.1, 2)] * n_runs, gammas=gammas)
         assert isinstance(results[0], NumericError)
         assert (str(results[0]), results[0].step) == (message, step)
@@ -667,7 +679,7 @@ class TestBatchedSweep:
 
         results = harness._run_loop(
             Bowl(), np.ones((4, 2)), 5, 1, [None] * 4, None,
-            PenaltyModel.isotropic(np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
+            PenaltyModel("isotropic", np.zeros(2), 1.0), "recadam", AdamConfig(alpha=0.1),
             anneals=[AnnealSchedule(0.1, 2)] * 4, gammas=[1.0, 1.0, 1.0, np.inf])
         assert [(str(error), error.step) for error in results[:2] + results[3:]] == [
             ("non-finite loss at step 3", 3), ("non-finite values in gradient", 3),
@@ -686,14 +698,14 @@ class TestBatchedSweep:
             return harness._run_loop(
                 task, np.ones((len(seeds), 4)), 20, 8,
                 [RandomSource(seed).child("batches") for seed in seeds], None,
-                PenaltyModel.isotropic(np.zeros(4), 1.0), "recadam", AdamConfig(alpha=0.1),
+                PenaltyModel("isotropic", np.zeros(4), 1.0), "recadam", AdamConfig(alpha=0.1),
                 anneals=[AnnealSchedule(0.1, 5)] * len(seeds), gammas=gammas)
 
         stacked = run([np.inf, 1.0, 1.0], (0, 1, 2))
         assert isinstance(stacked[0], NumericError) and stacked[0].step == 1
         for seed, (trace, theta) in zip((1, 2), stacked[1:]):
             [(lone_trace, lone_theta)] = run([1.0], (seed,))
-            assert np.array_equal(trace.data, lone_trace.data)
+            assert np.array_equal(trace, lone_trace)
             assert np.array_equal(theta, lone_theta)
 
     def test_an_error_mid_run_leaves_the_rows_before_it(self, tmp_path, monkeypatch):
@@ -999,13 +1011,13 @@ class TestBatchedSweep:
         try:
             results = harness._run_loop(
                 QuadraticTask(np.eye(1), np.zeros(1)), np.full((3, 1), 1.3e154), 3, 1,
-                [None] * 3, None, PenaltyModel.none(np.zeros(1)), "adam", AdamConfig(alpha=0.1))
+                [None] * 3, None, PenaltyModel("none", np.zeros(1)), "adam", AdamConfig(alpha=0.1))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         for trace, theta in results:
             assert len(trace) == 3
-            assert np.isfinite(trace.data).all() and np.isfinite(theta).all()
+            assert np.isfinite(trace).all() and np.isfinite(theta).all()
 
 
 class TestMemo:
@@ -1118,7 +1130,7 @@ class TestReport:
         finals = []
         for seed in (0, 1, 2):
             trace = read_trace(runs_dir / f"k0.05-t100-g1-s{seed}" / "trace.csv")
-            finals.append(trace.column("target_loss")[0])
+            finals.append(trace[:, TRACE_COLUMNS.index("target_loss")][0])
         first_row = curves[1].split(",")
         assert float(first_row[1]) == sorted(finals)[1]
         summary_lines = (out / "summary_median.csv").read_text().splitlines()
@@ -1179,7 +1191,8 @@ class TestReport:
                                     for name in ("target_loss", "dist")])
         for t in range(n_steps):
             writer.writerow([str(t + 1)] + [
-                harness._fmt(float(np.median([trace.column(name)[t] for trace in by_k[k]])))
+                harness._fmt(float(np.median([trace[t, TRACE_COLUMNS.index(name)]
+                                              for trace in by_k[k]])))
                 for k in ks for name in ("target_loss", "dist_to_pretrained")])
         return buf.getvalue().encode()
 
@@ -1230,7 +1243,7 @@ class TestReport:
         for seed in (0, 1):
             run_dir = out / "runs" / f"r{seed}"
             trace, _ = finetune(cfg, theta_star, seed, run_dir=run_dir)
-            data = trace.data.copy()
+            data = trace.copy()
             data[:, TRACE_COLUMNS.index("target_loss")] = edges
             data[:, TRACE_COLUMNS.index("dist_to_pretrained")] = edges[::-1]
             (run_dir / "trace.csv").write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(
@@ -1347,7 +1360,7 @@ class TestReadTrace:
         out, path = self._completed_run(tmp_path)
         intact = read_trace(path)
         path.write_text(path.read_text() + "\n")
-        assert read_trace(path).data.tobytes() == intact.data.tobytes()
+        assert read_trace(path).tobytes() == intact.tobytes()
         report(out)
         assert len((out / "learning_curves.csv").read_text().splitlines()) == 1 + 5
 
@@ -1356,8 +1369,8 @@ class TestReadTrace:
         path.write_text(",".join(TRACE_COLUMNS) + "\n")
         trace = read_trace(path)
         assert len(trace) == 0
-        assert trace.data.shape == (0, len(TRACE_COLUMNS))
-        assert trace.column("target_loss").size == 0
+        assert trace.shape == (0, len(TRACE_COLUMNS))
+        assert trace[:, TRACE_COLUMNS.index("target_loss")].size == 0
 
 
 class TestTransferPairFromConfig:

@@ -23,15 +23,16 @@ def fd_penalty_grad(pen, theta, h=1.0):
 class TestPenalty:
     def test_zero_at_anchor_for_every_kind(self):
         anchor = np.array([0.5, -1.0, 2.0])
-        for pen in (PenaltyModel.none(anchor),
-                    PenaltyModel.isotropic(anchor, 5000.0),
-                    PenaltyModel.diagonal_fisher(anchor, np.array([1.0, 2.0, 3.0]), 4)):
+        for pen in (PenaltyModel("none", anchor),
+                    PenaltyModel("isotropic", anchor, 5000.0),
+                    PenaltyModel("diagonal-fisher", anchor, fisher_diag=np.array([1.0, 2.0, 3.0]),
+                                 n_obs=4)):
             assert penalty_loss(pen, anchor) == 0.0
             assert np.array_equal(penalty_grad(pen, anchor), np.zeros(3))
 
     def test_isotropic_default_gamma_by_hand(self):
         anchor = np.zeros(2)
-        pen = PenaltyModel.isotropic(anchor, 5000.0)
+        pen = PenaltyModel("isotropic", anchor, 5000.0)
         assert penalty_loss(pen, np.array([0.01, 0.01])) == pytest.approx(0.5, rel=1e-12)
         grad = penalty_grad(pen, np.array([0.01, -0.02]))
         assert grad == pytest.approx([50.0, -100.0], rel=1e-12)
@@ -39,8 +40,8 @@ class TestPenalty:
     def test_unit_fisher_with_integer_n_equals_isotropic_exactly(self):
         anchor = RandomSource(1).normal(8)
         theta = RandomSource(2).normal(8)
-        iso = PenaltyModel.isotropic(anchor, 7.0)
-        fisher = PenaltyModel.diagonal_fisher(anchor, np.ones(8), 7)
+        iso = PenaltyModel("isotropic", anchor, 7.0)
+        fisher = PenaltyModel("diagonal-fisher", anchor, fisher_diag=np.ones(8), n_obs=7)
         assert penalty_loss(iso, theta) == penalty_loss(fisher, theta)
         assert np.array_equal(penalty_grad(iso, theta), penalty_grad(fisher, theta))
 
@@ -63,12 +64,12 @@ class TestPenalty:
             dim = int(rng.integers(2, 12))
             anchor = rng.normal(size=dim)
             if kind == "none":
-                pen = PenaltyModel.none(anchor)
+                pen = PenaltyModel("none", anchor)
             elif kind == "isotropic":
-                pen = PenaltyModel.isotropic(anchor, float(rng.uniform(0.1, 100)))
+                pen = PenaltyModel("isotropic", anchor, float(rng.uniform(0.1, 100)))
             else:
-                pen = PenaltyModel.diagonal_fisher(anchor, rng.uniform(0, 5, dim),
-                                                   int(rng.integers(1, 50)))
+                pen = PenaltyModel("diagonal-fisher", anchor, fisher_diag=rng.uniform(0, 5, dim),
+                                   n_obs=int(rng.integers(1, 50)))
             theta = anchor + rng.normal(size=dim)
             exact = penalty_grad(pen, theta)
             approx = fd_penalty_grad(pen, theta)
@@ -76,23 +77,24 @@ class TestPenalty:
                           np.maximum(np.abs(exact), 1e-8)) < 1e-8
 
     def test_dimension_and_validation_errors(self):
-        pen = PenaltyModel.isotropic(np.zeros(3), 1.0)
+        pen = PenaltyModel("isotropic", np.zeros(3), 1.0)
         with pytest.raises(DimensionError):
             penalty_loss(pen, np.zeros(4))
         with pytest.raises(ValueError):
-            PenaltyModel.isotropic(np.zeros(2), -1.0)
+            PenaltyModel("isotropic", np.zeros(2), -1.0)
         with pytest.raises(ValueError):
-            PenaltyModel.diagonal_fisher(np.zeros(2), np.array([1.0, -0.5]), 3)
+            PenaltyModel("diagonal-fisher", np.zeros(2), fisher_diag=np.array([1.0, -0.5]),
+                         n_obs=3)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_gamma_rejected(self, bad):
         with pytest.raises(ValueError):
-            PenaltyModel.isotropic(np.zeros(2), bad)
+            PenaltyModel("isotropic", np.zeros(2), bad)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_nonfinite_fisher_diag_rejected(self, bad):
         with pytest.raises(ValueError):
-            PenaltyModel.diagonal_fisher(np.zeros(2), np.array([1.0, bad]), 3)
+            PenaltyModel("diagonal-fisher", np.zeros(2), fisher_diag=np.array([1.0, bad]), n_obs=3)
 
 
 def _logistic_task():
@@ -102,7 +104,8 @@ def _logistic_task():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: PenaltyModel("ridge", np.zeros(2)), ValueError, "unknown penalty kind"),
     (lambda: PenaltyModel("diagonal-fisher", np.zeros(2)), ValueError, "needs fisher_diag"),
-    (lambda: PenaltyModel.diagonal_fisher(np.zeros(2), np.ones(2), 0), ValueError, "n_obs"),
+    (lambda: PenaltyModel("diagonal-fisher", np.zeros(2), fisher_diag=np.ones(2), n_obs=0),
+     ValueError, "n_obs"),
     (lambda: estimate_diag_fisher(_logistic_task(), np.zeros(3), 0, RandomSource(0)),
      ValueError, "n_samples"),
     (lambda: estimate_diag_fisher(_logistic_task(), np.zeros(4), 8, RandomSource(0)),
