@@ -43,10 +43,7 @@ from .errors import ConfigError, DimensionError, NoDataError, NumericError
 from .numkit import RandomSource, l2_distance
 from .optim import (AdamState, ScheduleMultiplier, adam_step, adamw_step,
                     coupled_recadam_step, recadam_step, schedule_multiplier)
-from .recall import PenaltyModel, _penalty_values, estimate_diag_fisher, penalty_grad
-# penalty_loss is not called here, but perfbench/tracer.py wraps it under
-# this name, so it stays importable from this module
-from .recall import penalty_loss  # noqa: F401
+from .recall import PenaltyModel, estimate_diag_fisher, penalty_grad, penalty_loss
 from .shifting import composite_loss, lambda_at
 from .storage import read_vector, write_vector
 from .tasks import TransferPair, batch_stream, gen_transfer_pair
@@ -187,7 +184,7 @@ _STEPPERS = {
                         coupled_recadam_step(th, st, cfg, eta, g, lam, pg)),
 }
 _SWEEP_CHUNK = 64  # most runs a sweep stacks: bounds per-run state, e.g. n_rows permutations
-_TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB, twice that as a run fails
+_TRACE_ROW_BUDGET = 2**18  # most trace rows a sweep chunk holds: 16 MiB
 _REPORT_KEYS = dict.fromkeys(  # the config.json keys report reads, all strings
     "finetune.optimizer.kind finetune.init shifting.k shifting.t0 penalty.gamma".split(), str)
 
@@ -207,7 +204,8 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     row of every (S, d) array is bit-identical to the run alone.  Returns per
     run (trace, final theta), or a NumericError for a run whose loss, gradient
     or penalty gradient was not finite at step t (the first check it failed): its
-    trace ends at step t - 1, and it leaves the stack while the others go on."""
+    trace ends at step t - 1, and it leaves the stepper's arrays while the others go on.
+    The trace and block arrays keep one row per run id for the whole call."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -220,54 +218,53 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     for anneal, rows in _group(range(len(theta)) if recall else (), lambda i: anneals[i]).items():
         data[rows, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
     gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, np.float64)[:, None]
-    runs = list(range(len(theta)))  # the live runs' ids, one per row of the stack's arrays
+    runs = list(range(len(theta)))  # the live runs' ids, one per row of theta and state
+    live = slice(None)  # their rows of the by-id arrays: all of them until a run fails
+    ends = [steps] * len(theta)  # by run id: the steps its trace may hold
     size = task.dataset_size()
     # by run id: its batch stream (None: no dataset) and trace_paths[run] (None: no file)
     streams = [batch_stream(size, batch_size, rng) if size > 0 else None for rng in batch_rngs]
-    retired = []  # (rows, run) of each run that failed, finished at the exit
     # a task without a dataset takes a stack in one call; a lone run takes
     # the one-row call, which costs less a step
     stacked = size == 0 and len(theta) > 1
     thetas, grads = np.empty((2, len(theta), max(_FILL_STEPS, _BLOCK // len(theta)),
                               theta.shape[1]))
     results = [None] * len(theta)
-    done = filled = 0  # the steps every run in the stack has taken, and has filled
+    done = filled = 0  # the steps every live run has taken, and the steps filled
     passing = True  # until the loop ends, an exception may be in flight
     try:
         for t in range(1, steps + 1):
             if t - 1 - filled == thetas.shape[1]:  # a full block
                 _fill(data[:, filled:t - 1], thetas, grads, pen, gammas)
                 filled = t - 1
-            row, grad = data[:, t - 1], grads[:, t - 1 - filled]
-            thetas[:, t - 1 - filled] = theta
+            j = t - 1 - filled
+            thetas[live, j] = theta
             if stacked:
-                row[:, _LOSS], grad[:] = task.loss_and_grad(theta)
+                data[live, t - 1, _LOSS], grads[live, j] = task.loss_and_grad(theta)
             else:
                 for i, run in enumerate(runs):
-                    row[i, _LOSS], grad[i] = task.loss_and_grad(
+                    data[run, t - 1, _LOSS], grads[run, j] = task.loss_and_grad(
                         theta[i], None if streams[run] is None else next(streams[run]))
-            while runs:  # a failing check retires the rows it marks and goes again with the rest
+            while runs:  # a failing check drops the rows it marks and goes again with the rest
                 try:
-                    if not all(map(math.isfinite, row[:, _LOSS].tolist())):  # no sum: it overflows
+                    losses = data[live, t - 1, _LOSS]
+                    if not all(map(math.isfinite, losses.tolist())):  # no sum: it overflows
                         raise NumericError(f"non-finite loss at step {t}", step=t,
-                                           rows=np.isfinite(row[:, _LOSS]))
+                                           rows=np.isfinite(losses))
                     # the stepper checks the gradients
-                    theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1], grad,
-                                        row[:, _LAMBDA:_LAMBDA + 1],
-                                        penalty_grad(pen, theta, gammas) if recall else None)
+                    theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1],
+                                        grads[live, j], data[live, t - 1, _LAMBDA:_LAMBDA + 1],
+                                        penalty_grad(pen, theta, gammas[live]) if recall else None)
                     break
                 except NumericError as exc:
                     if (keep := exc.rows) is None or keep.all():
-                        raise  # no run to retire: going again would loop
-                    _fill(data[:, filled:t], thetas, grads, pen, gammas)  # a new block at t + 1
+                        raise  # no run to drop: going again would loop
                     for run in itertools.compress(runs, ~keep):
                         results[run] = exc.with_traceback(None)  # holds none of the loop's frames
-                    retired += zip(data[~keep, :t - 1], itertools.compress(runs, ~keep))
+                        ends[run] = t - 1
                     runs = list(itertools.compress(runs, keep))
-                    theta, grad, data, gammas, thetas, grads, m, v = (array[keep] for array in (
-                        theta, grad, data, gammas, thetas, grads, state.m, state.v))
-                    state = AdamState(state.t, m, v)
-                    row, filled = data[:, t - 1], t
+                    live = np.array(runs, dtype=np.intp)
+                    theta, state = theta[keep], AdamState(state.t, state.m[keep], state.v[keep])
             if not runs:
                 break
             done = t
@@ -279,18 +276,21 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                 _fill(data[:, filled:done], thetas, grads, pen, gammas)
                 filled = done
             finally:  # a fill that fails leaves its steps out of every file
-                for rows, run in [*retired, *zip(data[:, :filled], runs)]:
-                    finishing.callback(_finish, rows, trace_paths and trace_paths[run])
+                for run, end in enumerate(ends):
+                    finishing.callback(_finish, data[run, :min(end, filled)],
+                                       trace_paths and trace_paths[run])
     for i, run in enumerate(runs):
-        results[run] = (data[i], theta[i])
+        results[run] = (data[run], theta[i])
     return results
 
 
 def _fill(rows, thetas, grads, pen, gammas) -> None:
     """Fill the penalty, composite, distance and gradient-norm columns of rows (S, n, 8),
-    n steps at once."""
+    n steps at once, every row of the by-id arrays.  The steps of a failed run after its
+    end come from stale block slots: its file and result never hold them."""
     n = rows.shape[1]
-    rows[:, :, _PENALTY], rows[:, :, _DIST] = _penalty_values(pen, thetas[:, :n], gammas)
+    rows[:, :, _PENALTY] = penalty_loss(pen, thetas[:, :n], gammas[:, None])
+    rows[:, :, _DIST] = l2_distance(thetas[:, :n], pen.theta_star)
     rows[:, :, _COMPOSITE] = composite_loss(rows[:, :, _LAMBDA], rows[:, :, _LOSS],
                                             rows[:, :, _PENALTY])
     rows[:, :, _GRAD_NORM] = np.sqrt((grads[:, :n] * grads[:, :n]).sum(axis=-1))

@@ -29,10 +29,13 @@ def check_same_length(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
 
 
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    check_same_length(a, b)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
+def l2_distance(a: np.ndarray, b: np.ndarray):
+    """Euclidean distance on the last axis: a float for two vectors, else one per row of the
+    stacks a and b (..., d) broadcast together."""
+    if a.shape[-1:] != b.shape[-1:]:
+        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
+    dist = np.sqrt(np.square(a - b).sum(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _child_seed(seed: int, label: str) -> int:

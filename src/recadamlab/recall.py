@@ -73,17 +73,13 @@ def penalty_grad(pen: PenaltyModel, theta: np.ndarray, gamma=None) -> np.ndarray
     return np.zeros_like(theta) if weighted is None else np.multiply(weighted, scale, out=weighted)
 
 
-def _penalty_values(pen: PenaltyModel, theta: np.ndarray, gamma=None):
-    """(penalty values, ||theta - theta_star||) of runs theta (..., d), per row."""
+def penalty_loss(pen: PenaltyModel, theta: np.ndarray, gamma=None):
+    """The penalty value of one run theta (d,), a float, or of each run of a stack (..., d);
+    a gamma broadcast against theta, (S, 1) for (S, d), replaces pen.gamma per run."""
     diff, weighted, scale = _penalty_parts(pen, theta, gamma)
-    sq_norm = (diff * diff).sum(axis=-1)
-    values = (np.zeros(sq_norm.shape) if weighted is None else 0.5 * scale * (
-        sq_norm if weighted is diff else (diff * weighted).sum(axis=-1)))
-    return values, np.sqrt(sq_norm)
-
-
-def penalty_loss(pen: PenaltyModel, theta: np.ndarray) -> float:
-    return float(_penalty_values(pen, theta)[0])
+    value = (np.zeros(diff.shape[:-1] + (1,)) if weighted is None
+             else 0.5 * scale * (diff * weighted).sum(axis=-1, keepdims=True))
+    return float(value[0]) if theta.ndim == 1 else value[..., 0]
 
 
 def estimate_diag_fisher(task: Task, theta_star: np.ndarray, n_samples: int,

@@ -18,9 +18,9 @@ from recadamlab.config import INIT_KINDS, config_from_values, parse_flat_text
 from recadamlab.errors import ConfigError, DimensionError, NoDataError, NumericError
 from recadamlab.harness import (TRACE_COLUMNS, build_transfer_pair,
                                 finetune, pretrain, read_trace, report, sweep)
-from recadamlab.numkit import RandomSource
+from recadamlab.numkit import RandomSource, l2_distance
 from recadamlab.optim import SCHEDULE_KINDS, STEPPER_KINDS, AdamConfig
-from recadamlab.recall import PENALTY_KINDS, PenaltyModel
+from recadamlab.recall import PENALTY_KINDS, PenaltyModel, penalty_loss
 from recadamlab.shifting import AnnealSchedule
 from recadamlab.storage import read_vector, write_vector
 from recadamlab.tasks import DATASET_KINDS, TASK_KINDS, QuadraticTask, gen_task
@@ -998,6 +998,69 @@ class TestBatchedSweep:
             assert np.array_equal(grad, lone_grad)
         with pytest.raises(DimensionError):
             task.loss_and_grad(np.zeros((runs, dim + 1)))
+
+    @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_stacked_penalty_value_and_distance_are_bit_equal_per_row(self, kind, dim, runs):
+        # the loop's fill hands both a (runs, steps, dim) block of thetas, with an
+        # (runs, 1, 1) gamma; the stepper's penalty takes (runs, dim) with (runs, 1)
+        theta_star, fisher = RandomSource(dim).normal(dim), RandomSource(dim + 1).uniform(size=dim)
+        theta = RandomSource(runs).normal((runs, 3, dim), scale=3.0)
+        gamma = RandomSource(runs + 1).uniform(0.5, 5000.0, (runs, 1))
+        pen = PenaltyModel(kind, theta_star, 2.0, fisher, n_obs=7)
+        values, dists = penalty_loss(pen, theta, gamma[:, None]), l2_distance(theta, theta_star)
+        firsts = penalty_loss(pen, theta[:, 0], gamma)
+        assert values.shape == dists.shape == (runs, 3) and firsts.shape == (runs,)
+        for i in range(runs):
+            lone = PenaltyModel(kind, theta_star, float(gamma[i, 0]), fisher, n_obs=7)
+            assert firsts[i] == penalty_loss(lone, theta[i, 0])
+            for t in range(3):
+                assert values[i, t] == penalty_loss(lone, theta[i, t])
+                assert dists[i, t] == l2_distance(theta[i, t], theta_star)
+        assert isinstance(penalty_loss(pen, theta[0, 0]), float)
+        assert isinstance(l2_distance(theta[0, 0], theta_star), float)
+        with pytest.raises(DimensionError):
+            l2_distance(np.zeros((runs, dim + 1)), theta_star)
+
+    def test_two_runs_failing_in_one_block_leave_lone_prefixes(self, tmp_path, monkeypatch):
+        # three runs fill blocks of 21 steps; in the block of steps 22-42, run 0
+        # gets a NaN loss at step 30 and run 2, then the second of two rows, a NaN
+        # gradient at step 35, while run 1 trains to the end
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 60, "pretrain.steps": 100})
+        theta_star, _ = pretrain(cfg)
+        lone = {seed: finetune(cfg, theta_star, seed, run_dir=tmp_path / "lone" / f"s{seed}")
+                for seed in (0, 1, 2)}
+        real = QuadraticTask.loss_and_grad
+        faults = {30: (0, "loss"), 35: (1, "gradient")}  # call -> (row of the stack, value)
+        calls = []
+
+        def faulty(self, theta, batch=None):
+            calls.append(1)
+            losses, grads = real(self, theta, batch)
+            if len(calls) in faults:
+                row, value = faults[len(calls)]
+                losses, grads = losses.copy(), grads.copy()
+                if value == "loss":
+                    losses[row] = np.nan
+                else:
+                    grads[row, 0] = np.nan
+            return losses, grads
+
+        monkeypatch.setattr(QuadraticTask, "loss_and_grad", faulty)
+        root = tmp_path / "stack"
+        results = harness._finetune_runs(
+            build_transfer_pair(cfg).target, harness.build_penalty(cfg, theta_star), theta_star,
+            [(cfg, seed, root / f"s{seed}") for seed in (0, 1, 2)])
+        assert [(str(results[i]), results[i].step) for i in (0, 2)] == [
+            ("non-finite loss at step 30", 30), ("non-finite values in gradient", 35)]
+        for seed, step in ((0, 30), (2, 35)):
+            assert ((root / f"s{seed}" / "trace.csv").read_bytes()
+                    == leading_rows(tmp_path / "lone" / f"s{seed}" / "trace.csv", step - 1))
+            assert not (root / f"s{seed}" / "summary.json").exists()
+        trace, summary = results[1]
+        assert np.array_equal(trace, lone[1][0]) and summary == lone[1][1]
+        for name in ("config.json", "trace.csv", "summary.json"):
+            assert (root / "s1" / name).read_bytes() == (tmp_path / "lone" / "s1" / name).read_bytes()
 
     def test_finite_losses_whose_sum_overflows_are_not_a_failure(self):
         # three rows, each loss 8.45e307: the losses are finite one by one,

@@ -6,6 +6,8 @@
 one of those names has gone; a traced run must count each optimizer step
 once, under the span of the run's own stepper, a recall kind's penalty
 gradient once, and each task gradient once, on every task kind; a traced
+``finetune`` must count one penalty value and one distance span per filled
+trace block, and one more distance for its summary; a traced
 report must count one trace read per run and the rows it read; a traced
 ``finetune`` or ``sweep`` command must count one checkpoint read; a traced
 ``finetune`` counts a pair build and a Fisher estimate only when the
@@ -64,6 +66,20 @@ def test_traced_finetune_counts_one_stepper_call_per_step(tmp_path, kind):
         assert tracer.calls[name] == (20 if name == STEP_SPANS[kind] else 0)
     # a recall kind takes one penalty gradient a step, through the harness name
     assert tracer.calls["recall.penalty_grad"] == (20 if kind.startswith("recadam") else 0)
+
+
+@pytest.mark.parametrize("steps, blocks", [(20, 1), (130, 3)])
+def test_traced_finetune_counts_one_penalty_value_and_distance_per_block(tmp_path, steps,
+                                                                         blocks):
+    # a lone run fills its trace columns in blocks of 64 steps, through the
+    # harness names; the summary takes one more distance
+    cfg = config_from_values(parse_flat_text(CFG.format(kind="recadam", out=tmp_path)))
+    cfg = cfg.with_values({"finetune.steps": steps})
+    theta_star, _ = harness.pretrain(cfg, write_outputs=False)
+    with load_tracer().Tracer().installed() as tracer:
+        harness.finetune(cfg, theta_star, seed=0)
+    assert tracer.calls["recall.penalty_loss"] == blocks
+    assert tracer.calls["numkit.l2_distance"] == blocks + 1
 
 
 def test_traced_report_counts_one_read_per_run_and_its_rows(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from recadamlab.errors import DimensionError, UnsupportedTaskError
-from recadamlab.numkit import RandomSource
-from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, _penalty_values,
-                               estimate_diag_fisher, penalty_grad, penalty_loss)
+from recadamlab.numkit import RandomSource, l2_distance
+from recadamlab.recall import (FISHER_BLOCK_ROWS, PenaltyModel, estimate_diag_fisher,
+                               penalty_grad, penalty_loss)
 from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
                               gen_task)
 
@@ -271,8 +271,10 @@ class TestPurity:
         pen = PenaltyModel(kind, theta_star, gamma=2.0, fisher_diag=fisher, n_obs=7)
         inputs = [theta, theta_star, fisher, gamma]
         before = read_only_copies(inputs)
-        outputs = [*_penalty_values(pen, theta[:, None], gamma), penalty_grad(pen, theta, gamma),
-                   *_penalty_values(pen, theta), penalty_grad(pen, theta)]
+        outputs = [penalty_loss(pen, theta[:, None], gamma[:, None]),
+                   l2_distance(theta[:, None], theta_star), penalty_grad(pen, theta, gamma),
+                   penalty_loss(pen, theta), l2_distance(theta, theta_star),
+                   penalty_grad(pen, theta)]
         if rows == 1:
             outputs.append(penalty_grad(pen, theta[0]))
             assert penalty_loss(pen, theta[0]) == outputs[3][0]

@@ -207,7 +207,7 @@ def test_a_stack_stopped_mid_block_writes_prefixes(tmp_path, monkeypatch, fault,
         results = stack(cfg, theta_star, tmp_path / "cut")
         assert isinstance(results[1], NumericError) and results[1].step == step
         for seed in (0, 2):
-            assert np.array_equal(results[seed][0].data, whole[seed][0].data)
+            assert np.array_equal(results[seed][0], whole[seed][0])
             assert results[seed][1] == whole[seed][1]
         cut_steps = {0: len(whole[0][0]), 1: step - 1, 2: len(whole[2][0])}
     else:
@@ -218,7 +218,7 @@ def test_a_stack_stopped_mid_block_writes_prefixes(tmp_path, monkeypatch, fault,
     for seed, n in cut_steps.items():
         assert ((tmp_path / "cut" / f"s{seed}" / "trace.csv").read_bytes()
                 == leading_rows(tmp_path / "whole" / f"s{seed}" / "trace.csv", n))
-    assert all(np.isfinite(trace.data).all() for trace, _ in whole)
+    assert all(np.isfinite(trace).all() for trace, _ in whole)
     assert [len(read_trace(tmp_path / "whole" / f"s{seed}" / "trace.csv"))
             for seed in (0, 1, 2)] == [130] * 3
 
@@ -234,8 +234,8 @@ def test_a_lone_run_fills_its_columns_once_a_block(tmp_path, monkeypatch, kind, 
                                                       "penalty.kind": penalty})
     theta_star, _ = pretrain(cfg, write_outputs=False)
     grads = counted(monkeypatch, "penalty_grad")
-    values = counted(monkeypatch, "_penalty_values")
+    values = counted(monkeypatch, "penalty_loss")
     fills = counted(monkeypatch, "_fill")
     trace, _ = finetune(cfg, theta_star, seed=0)
     assert (len(grads), len(values), len(fills)) == (grad_calls, 3, 3)
-    assert len(trace) == 130 and np.isfinite(trace.data).all()
+    assert len(trace) == 130 and np.isfinite(trace).all()
