@@ -143,11 +143,7 @@ def build_transfer_pair(cfg: ExperimentConfig) -> TransferPair:
 
 @functools.lru_cache(maxsize=1)
 def _pair_of(kind, dim, rho, seed, **sizes) -> TransferPair:
-    pair = gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
-    for task in (pair.source, pair.target):
-        for array in (v for v in vars(task).values() if isinstance(v, np.ndarray)):
-            array.flags.writeable = False
-    return pair
+    return gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
 
 
 @functools.lru_cache(maxsize=1)

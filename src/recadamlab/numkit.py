@@ -74,6 +74,3 @@ class RandomSource:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed})"

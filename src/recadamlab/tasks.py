@@ -43,26 +43,28 @@ def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np
 
 
 class Task:
-    """Common surface shared by all task kinds; a kind with a dataset holds
-    it as ``features``, one row per sample, and reads every batch of it
-    through ``_batch``.  A kind without a dataset (dataset_size() == 0) also
-    takes a stack of parameter rows in ``loss_and_grad``."""
+    """Common surface shared by all task kinds: each defines ``loss_and_grad(theta,
+    batch=None)``; a kind with a dataset holds it as ``features``, one row per sample,
+    reads every batch of it through ``_batch`` and defines ``per_sample_loglik_grads(theta,
+    indices)``.  A kind without a dataset (dataset_size() == 0) also takes a stack of
+    parameter rows in ``loss_and_grad``.  Every kind holds its arrays read-only."""
 
     kind: str
     dim: int
 
-    def loss_and_grad(self, theta: np.ndarray, batch=None):
-        raise NotImplementedError
-
     def dataset_size(self) -> int:
         return self.features.shape[0]
 
+    def _read_only(self, *names: str) -> None:
+        """Hold the arrays called names as read-only C-contiguous views (a caller's stays
+        writeable): one task may serve many runs, and no reader writes into it."""
+        for name in names:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name)).view())
+            getattr(self, name).flags.writeable = False
+
     def _check_dataset(self, name: str) -> int:
-        """Hold features and the labels called name as read-only C-contiguous views
-        (no reader writes into the dataset); the feature width, once they fit."""
-        for key in ("features", name):
-            setattr(self, key, np.ascontiguousarray(getattr(self, key)).view())
-            getattr(self, key).flags.writeable = False
+        """Hold features and the labels called name read-only; the feature width, once they fit."""
+        self._read_only("features", name)
         labels = getattr(self, name)
         if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
             raise DimensionError(f"{name} must have one row per feature row of 2-D features")
@@ -85,9 +87,6 @@ class Task:
             raise InvalidBatchError(f"batch indices outside [0, {labels.size})")
         return self.features.take(idx, axis=0), labels.take(idx)
 
-    def per_sample_loglik_grads(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        raise UnsupportedTaskError(f"{self.kind} has no per-sample log-likelihood")
-
 
 @dataclass
 class QuadraticTask(Task):
@@ -99,6 +98,7 @@ class QuadraticTask(Task):
     kind: str = field(default="quadratic", init=False)
 
     def __post_init__(self):
+        self._read_only("curvature", "center")
         self.dim = self.center.size
         if self.curvature.shape != (self.dim, self.dim):
             raise DimensionError("curvature must be dim x dim")

@@ -228,8 +228,10 @@ def test_module_invocation(tmp_path):
     src = str(Path(recadamlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "recadamlab", "report", "--dir", str(tmp_path)],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 4
-    assert "no data" in proc.stderr
+    # the package's __main__ and cli's own __main__ guard, without which the second would exit 0
+    for module in ("recadamlab", "recadamlab.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "report", "--dir", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 4
+        assert "no data" in proc.stderr

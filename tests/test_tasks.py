@@ -8,9 +8,9 @@ import pytest
 
 from recadamlab.errors import DimensionError, InvalidBatchError, UnsupportedTaskError
 from recadamlab.numkit import RandomSource
-from recadamlab.tasks import (DATASET_KINDS, LinearRegressionTask, LogisticRegressionTask,
-                              MlpTask, QuadraticTask, TransferPair, _sigmoid, batch_stream,
-                              gen_task, gen_transfer_pair)
+from recadamlab.tasks import (DATASET_KINDS, TASK_KINDS, LinearRegressionTask,
+                              LogisticRegressionTask, MlpTask, QuadraticTask, TransferPair,
+                              _sigmoid, batch_stream, gen_task, gen_transfer_pair)
 
 from grad_oracle import finite_diff_grad
 
@@ -159,13 +159,30 @@ class TestBatches:
         shared = np.shares_memory(pair.source.features, pair.target.features)
         assert shared == (kind != "mlp-1h")
 
+    @pytest.mark.parametrize("kind", TASK_KINDS)
+    def test_every_array_of_a_generated_task_is_read_only(self, kind):
+        # built here, outside the harness's memo: the task layer alone makes them read-only
+        sizes = dict(dim_in=2, hidden=3, classes=2, n_samples=20)
+        dim = 0 if kind == "mlp-1h" else 4
+        pair = gen_transfer_pair(kind, dim, 0.5, RandomSource(2), **sizes)
+        for task in (pair.source, pair.target, gen_task(kind, dim, RandomSource(3), **sizes)):
+            arrays = [v for v in vars(task).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 2
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1
+
     @pytest.mark.parametrize("build", [LinearRegressionTask, LogisticRegressionTask,
-                                       lambda X, y: MlpTask(2, 3, 2, X, y)],
-                             ids=["linear", "logistic", "mlp"])
+                                       lambda X, y: MlpTask(2, 3, 2, X, y), QuadraticTask],
+                             ids=["linear", "logistic", "mlp", "quadratic"])
     def test_hand_built_task_leaves_the_caller_arrays_writeable(self, build):
-        features, labels = np.zeros((6, 2)), np.ones(6, dtype=np.intp)
+        if build is QuadraticTask:
+            features, labels = np.eye(2), np.ones(2)  # the curvature and the center
+        else:
+            features, labels = np.zeros((6, 2)), np.ones(6, dtype=np.intp)
         task = build(features, labels)
-        assert not task.features.flags.writeable
+        held = (task.curvature, task.center) if build is QuadraticTask else (task.features,)
+        assert not any(array.flags.writeable for array in held)
         features[0, 0] = labels[0] = 0  # raises if the task had made them read-only
 
     @pytest.mark.parametrize("kind", DATASET_KINDS)
