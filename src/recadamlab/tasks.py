@@ -44,10 +44,10 @@ def batch_stream(n_rows: int, batch_size: int, rng: RandomSource) -> Iterator[np
 
 class Task:
     """Common surface shared by all task kinds: each defines ``loss_and_grad(theta,
-    batch=None)``; a kind with a dataset holds it as ``features``, one row per sample,
-    reads every batch of it through ``_batch`` and defines ``per_sample_loglik_grads(theta,
-    indices)``.  A kind without a dataset (dataset_size() == 0) also takes a stack of
-    parameter rows in ``loss_and_grad``.  Every kind holds its arrays read-only."""
+    batch=None)``; a kind with a dataset holds it as ``features`` and ``labels``, one row
+    per sample, reads every batch through ``_batch`` and defines ``per_sample_loglik_grads(
+    theta, indices)``.  A kind without a dataset (dataset_size() == 0) also takes a stack
+    of parameter rows in ``loss_and_grad``.  Every kind holds its arrays read-only."""
 
     kind: str
     dim: int
@@ -62,30 +62,29 @@ class Task:
             setattr(self, name, np.ascontiguousarray(getattr(self, name)).view())
             getattr(self, name).flags.writeable = False
 
-    def _check_dataset(self, name: str) -> int:
-        """Hold features and the labels called name read-only; the feature width, once they fit."""
-        self._read_only("features", name)
-        labels = getattr(self, name)
-        if self.features.ndim != 2 or labels.shape != self.features.shape[:1]:
-            raise DimensionError(f"{name} must have one row per feature row of 2-D features")
+    def _check_dataset(self) -> int:
+        """Hold features and labels read-only; the feature width, once they fit."""
+        self._read_only("features", "labels")
+        if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
+            raise DimensionError("labels must have one row per feature row of 2-D features")
         return self.features.shape[1]
 
-    def _batch(self, theta: np.ndarray, batch, labels: np.ndarray):
+    def _batch(self, theta: np.ndarray, batch):
         """The feature rows and labels of a batch of integer row indices, once theta
         has the task's length; None: every row, the read-only dataset, no copy."""
         if theta.size != self.dim:
             raise DimensionError(f"theta length {theta.size} != task dim {self.dim}")
-        if batch is None and labels.size:
-            return self.features, labels
+        if batch is None and self.labels.size:
+            return self.features, self.labels
         idx = np.asarray([] if batch is None else batch).reshape(-1)
         if idx.size == 0:  # checked first: an empty list reads as float64
             raise InvalidBatchError("empty batch")
         if idx.dtype.kind not in "iu":
             raise InvalidBatchError(f"batch indices must be integers, got {idx.dtype}")
         idx = idx.astype(np.intp, copy=False)
-        if idx.view(np.uintp).max() >= labels.size:  # a negative index views as >= 2**63
-            raise InvalidBatchError(f"batch indices outside [0, {labels.size})")
-        return self.features.take(idx, axis=0), labels.take(idx)
+        if idx.view(np.uintp).max() >= self.labels.size:  # a negative index views as >= 2**63
+            raise InvalidBatchError(f"batch indices outside [0, {self.labels.size})")
+        return self.features.take(idx, axis=0), self.labels.take(idx)
 
 
 @dataclass
@@ -131,22 +130,22 @@ class LinearRegressionTask(Task):
     """Mean of 0.5 (x . theta - y)^2; Gaussian unit-variance likelihood."""
 
     features: np.ndarray
-    targets: np.ndarray
+    labels: np.ndarray
     spec: Optional[dict] = None
     kind: str = field(default="linear-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self._check_dataset("targets")
+        self.dim = self._check_dataset()
 
     def loss_and_grad(self, theta, batch=None):
-        X, y = self._batch(theta, batch, self.targets)
+        X, y = self._batch(theta, batch)
         resid = X @ theta - y
         loss = 0.5 * float((resid * resid).sum() / y.size)
         grad = X.T @ resid / y.size
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self._batch(theta, indices, self.targets)
+        X, y = self._batch(theta, indices)
         return X * (y - X @ theta)[:, None]
 
 
@@ -160,10 +159,10 @@ class LogisticRegressionTask(Task):
     kind: str = field(default="logistic-regression", init=False)
 
     def __post_init__(self):
-        self.dim = self._check_dataset("labels")
+        self.dim = self._check_dataset()
 
     def loss_and_grad(self, theta, batch=None):
-        X, y = self._batch(theta, batch, self.labels)
+        X, y = self._batch(theta, batch)
         z = X @ theta
         # log(1 + exp(z)) - y z, computed without overflow
         loss = float((np.logaddexp(0.0, z) - y * z).sum() / y.size)
@@ -172,7 +171,7 @@ class LogisticRegressionTask(Task):
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self._batch(theta, indices, self.labels)
+        X, y = self._batch(theta, indices)
         return X * (y - _sigmoid(X @ theta))[:, None]
 
 
@@ -206,7 +205,7 @@ class MlpTask(Task):
 
     def __post_init__(self):
         self.dim = _mlp_dim(self.dim_in, self.hidden, self.classes)
-        if self._check_dataset("labels") != self.dim_in:
+        if self._check_dataset() != self.dim_in:
             raise DimensionError("feature width must equal dim_in")
         if self.labels.dtype.kind not in "iu" or not np.isin(
                 self.labels, range(self.classes)).all():
@@ -243,7 +242,7 @@ class MlpTask(Task):
         return W2, H, ce, dlogits
 
     def loss_and_grad(self, theta, batch=None):
-        X, y = self._batch(theta, batch, self.labels)
+        X, y = self._batch(theta, batch)
         W2, H, ce, dlogits = self._forward(theta, X, y)
         n = y.size
         loss = float(ce.sum() / n)
@@ -260,7 +259,7 @@ class MlpTask(Task):
         return loss, grad
 
     def per_sample_loglik_grads(self, theta, indices):
-        X, y = self._batch(theta, indices, self.labels)
+        X, y = self._batch(theta, indices)
         W2, H, _, dlogits = self._forward(theta, X, y)  # per-sample dCE/dlogits, no 1/n
         n = y.size
         dW2 = np.einsum("bc,bh->bch", dlogits, H)

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import re
+import shutil
 import signal
 import tempfile
 import tracemalloc
@@ -261,6 +263,8 @@ class TestFinetune:
         expected = "".join(harness._ROW_FORMAT % tuple(r) for r in rows.tolist()).encode()
         assert (tmp_path / "trace.csv").read_bytes() == (
             ",".join(TRACE_COLUMNS) + "\n").encode() + expected
+        if n_rows:  # and every edge float reads back to its own bits
+            assert read_trace(tmp_path / "trace.csv").tobytes() == rows.tobytes()
 
     def test_summary_fields(self, tmp_path):
         cfg = quad_cfg(tmp_path)
@@ -984,6 +988,62 @@ class TestBatchedSweep:
         for run_dir in runs.iterdir():
             assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "trace.csv"]
             assert len(read_trace(run_dir / "trace.csv")) == 9
+
+    def test_a_failed_publish_leaves_only_clean_files(self, tmp_path, monkeypatch):
+        # a 3-run sweep in chunks of two, then report, once cleanly; then again in
+        # a fresh directory of the same path (config.json records it) for each
+        # publish n, the n-th raising OSError once its .tmp is written
+        monkeypatch.setattr(harness, "_SWEEP_CHUNK", 2)
+        cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 50})
+        grid = {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)}
+        out = Path(cfg.output_dir)
+        real = harness._published
+        published = []
+
+        @contextlib.contextmanager
+        def injected(path):
+            published.append(Path(path).name)
+            with real(path) as tmp:
+                yield tmp
+                if len(published) == fail_at:
+                    assert tmp.exists()
+                    raise OSError(f"injected failure of publish {fail_at}")
+
+        def files():
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def run():
+            sweep(cfg, grid)
+            report(out / "runs")
+
+        fail_at = 0
+        monkeypatch.setattr(harness, "_published", injected)
+        run()
+        clean = files()
+        names = published[:]
+        assert names == (["theta_star.bin", "pretrain_trace.csv"]
+                         + ["config.json"] * 2 + ["trace.csv"] * 2 + ["summary.json"] * 2
+                         + ["config.json", "trace.csv", "summary.json", "summaries.csv",
+                            "best_config.txt", "learning_curves.csv", "summary_median.csv"])
+        for n, name in enumerate(names, start=1):
+            shutil.rmtree(out)
+            published.clear()
+            fail_at = n
+            with pytest.raises(OSError, match=f"publish {n}$"):
+                run()
+            fail_at = 0
+            left = files()
+            assert not [path for path in left if path.suffix == ".tmp"], n
+            assert left.items() <= clean.items(), n
+            try:
+                report(out / "runs")
+            except NoDataError:
+                pass
+            run()
+            # a failed pretrain_trace.csv publish leaves theta_star.bin, which the
+            # re-run reuses: no pretrain runs, so no pretrain trace is written
+            lost = Path("pretrain_trace.csv") if name == "pretrain_trace.csv" else None
+            assert files() == {path: data for path, data in clean.items() if path != lost}, n
 
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):
