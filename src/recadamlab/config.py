@@ -231,8 +231,7 @@ def config_from_values(values: dict) -> ExperimentConfig:
                           f"estimate the Fisher from, not transfer.kind={full['transfer.kind']}")
     sizes = {key: full["transfer." + key] for key in _KEYWORDS}
     try:  # the task generator's own size checks; an mlp-1h derives its dim
-        spec = _task_spec(full["transfer.kind"], full["transfer.dim"], full["transfer.seed"],
-                          sizes)
+        spec = _task_spec(full["transfer.kind"], full["transfer.dim"], sizes)
     except ValueError as exc:
         raise ConfigError(f"transfer: {exc}") from None
     full["transfer.dim"] = spec["dim"]

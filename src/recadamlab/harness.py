@@ -95,10 +95,14 @@ def _write_blocks(fh, row: bytes, rows: np.ndarray) -> np.ndarray:
 def read_trace(path: str | os.PathLike) -> np.ndarray:
     """Load a trace file in one parse, as an (n_steps, 8) array.  A wrong header, a row
     without one number per column, a cell that is not a number or a step column other
-    than 1, 2, ..., n is NoDataError; blank lines are skipped."""
-    with open(path) as fh:
-        header = next(csv.reader([fh.readline()]))
-        has_rows = any(line.strip() for line in fh)
+    than 1, 2, ..., n is NoDataError, as are bytes that are not text; blank lines are
+    skipped."""
+    try:  # reading text decodes the file's first block, not only the lines looked at
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]))
+            has_rows = any(line.strip() for line in fh)
+    except UnicodeDecodeError as exc:
+        raise NoDataError(f"malformed trace {path}: {exc}") from None
     if tuple(header) != TRACE_COLUMNS:
         raise NoDataError(f"unexpected trace header in {path}")
     if not has_rows:  # loadtxt warns on an input without rows

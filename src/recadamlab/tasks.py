@@ -10,17 +10,15 @@ Four kinds stand in for pretraining/fine-tuning workloads:
 Each kind is one row of the ``_KINDS`` table: a draw of its generative
 parameters and a build of the task from them.  ``gen_task`` and
 ``gen_transfer_pair`` are the only generators; both draw exclusively from
-labelled child streams of the RandomSource they are given, and each task
-records its generator's arguments and seed in ``spec`` (both members of a
-pair record the same one).  Transfer pairs interpolate generative
-parameters (centers, true weights) with a relatedness knob rho; the dataset
-noise is drawn once and shared between source and target so rho = 1 yields
-an identical task.
+labelled child streams of the RandomSource they are given.  Transfer
+pairs interpolate generative parameters (centers, true weights) with a
+relatedness knob rho; the dataset noise is drawn once and shared between
+source and target so rho = 1 yields an identical task.
 """
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,6 +49,7 @@ class Task:
 
     kind: str
     dim: int
+    spec = None  # read only by perfbench/tracer.py::_fisher_key; goes with that read
 
     def dataset_size(self) -> int:
         return self.features.shape[0]
@@ -93,7 +92,6 @@ class QuadraticTask(Task):
 
     curvature: np.ndarray
     center: np.ndarray
-    spec: Optional[dict] = None
     kind: str = field(default="quadratic", init=False)
 
     def __post_init__(self):
@@ -131,7 +129,6 @@ class LinearRegressionTask(Task):
 
     features: np.ndarray
     labels: np.ndarray
-    spec: Optional[dict] = None
     kind: str = field(default="linear-regression", init=False)
 
     def __post_init__(self):
@@ -155,7 +152,6 @@ class LogisticRegressionTask(Task):
 
     features: np.ndarray
     labels: np.ndarray
-    spec: Optional[dict] = None
     kind: str = field(default="logistic-regression", init=False)
 
     def __post_init__(self):
@@ -200,7 +196,6 @@ class MlpTask(Task):
     classes: int
     features: np.ndarray
     labels: np.ndarray
-    spec: Optional[dict] = None
     kind: str = field(default="mlp-1h", init=False)
 
     def __post_init__(self):
@@ -298,8 +293,7 @@ def _linreg_noise(data: RandomSource, spec: dict) -> dict:
 
 def _build_linreg(params: dict, noise: dict, spec: dict) -> LinearRegressionTask:
     X = noise["X"]
-    return LinearRegressionTask(X, X @ params["weights"] + spec["noise_std"] * noise["e"],
-                                spec=spec)
+    return LinearRegressionTask(X, X @ params["weights"] + spec["noise_std"] * noise["e"])
 
 
 def _logreg_noise(data: RandomSource, spec: dict) -> dict:
@@ -310,7 +304,7 @@ def _logreg_noise(data: RandomSource, spec: dict) -> dict:
 def _build_logreg(params: dict, noise: dict, spec: dict) -> LogisticRegressionTask:
     X = noise["X"]
     y = (noise["u"] < _sigmoid(X @ params["weights"])).astype(np.float64)
-    return LogisticRegressionTask(X, y, spec=spec)
+    return LogisticRegressionTask(X, y)
 
 
 def _draw_mlp(rng: RandomSource, spec: dict) -> dict:
@@ -332,8 +326,7 @@ def _build_mlp(params: dict, noise: dict, spec: dict) -> MlpTask:
     X = params["centers"][y] + spec["noise_std"] * noise["Z"]
     if spec["label_noise"] > 0:
         y = np.where(noise["u"] < spec["label_noise"], noise["flipped_to"], y)
-    return MlpTask(spec["dim_in"], spec["hidden"], spec["classes"], X, y.astype(np.intp),
-                   spec=spec)
+    return MlpTask(spec["dim_in"], spec["hidden"], spec["classes"], X, y.astype(np.intp))
 
 
 class _Kind(NamedTuple):
@@ -345,7 +338,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "quadratic": _Kind(_draw_quadratic, lambda data, spec: {},
-                       lambda params, noise, spec: QuadraticTask(**params, spec=spec), {}),
+                       lambda params, noise, spec: QuadraticTask(**params), {}),
     "linear-regression": _Kind(_draw_weights(1.0), _linreg_noise, _build_linreg,
                                {"n_samples": 512, "noise_std": 0.1}),
     "logistic-regression": _Kind(_draw_weights(2.0), _logreg_noise, _build_logreg,
@@ -359,17 +352,17 @@ DATASET_KINDS = tuple(kind for kind, row in _KINDS.items() if "n_samples" in row
 _KEYWORDS = {key for row in _KINDS.values() for key in row.sizes}
 
 
-def _task_spec(kind: str, dim: int, seed: int, sizes: dict) -> dict:
-    """kind, dim and seed plus the kind's own keywords, a missing or None
-    keyword taking its default, after every size check.  Keywords that only
-    other kinds use are accepted and left out, so one set of keywords (a
-    config's) serves every kind."""
+def _task_spec(kind: str, dim: int, sizes: dict) -> dict:
+    """dim plus the kind's own keywords, a missing or None keyword taking its
+    default, after every size check.  Keywords that only other kinds use are
+    accepted and left out, so one set of keywords (a config's) serves every
+    kind."""
     if kind not in _KINDS:
         raise UnsupportedTaskError(f"unknown task kind: {kind!r}")
     unknown = sizes.keys() - _KEYWORDS
     if unknown:
         raise TypeError(f"unknown task keywords: {sorted(unknown)}")
-    spec = {"kind": kind, "dim": dim, "seed": seed}
+    spec = {"dim": dim}
     for key, default in _KINDS[kind].sizes.items():
         spec[key] = default if sizes.get(key) is None else sizes[key]
     for key in ("n_samples", "dim_in", "hidden", "classes"):
@@ -391,7 +384,7 @@ def gen_task(kind: str, dim: int, rng: RandomSource, **sizes) -> Task:
     """One task of the given kind.  sizes are the kind's keywords (n_samples,
     noise_std; mlp-1h: dim_in, hidden, classes, center_scale, label_noise);
     mlp-1h takes dim=0 or its derived parameter count."""
-    spec = _task_spec(kind, dim, rng.seed, sizes)
+    spec = _task_spec(kind, dim, sizes)
     draw, noise, build, _ = _KINDS[kind]
     return build(draw(rng, spec), noise(rng.child("data"), spec), spec)
 
@@ -420,7 +413,7 @@ def gen_transfer_pair(kind: str, dim: int, rho: float, rng: RandomSource,
     features), so rho = 1 reproduces the source task exactly while rho = 0
     gives a target drawn independently of the source parameters.
     """
-    spec = _task_spec(kind, dim, rng.seed, sizes)
+    spec = _task_spec(kind, dim, sizes)
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"relatedness rho must lie in [0, 1], got {rho}")
     draw, draw_noise, build, _ = _KINDS[kind]

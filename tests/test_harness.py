@@ -3,9 +3,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -47,12 +50,16 @@ output_dir={out}
 """
 
 
-def quad_cfg(tmp_path, **overrides):
+def quad_text(tmp_path, **overrides):
     text = QUAD_BASE.format(out=tmp_path / "exp")
     for key, value in overrides.items():
         line = next(l for l in text.splitlines() if l.startswith(key + "="))
         text = text.replace(line, f"{key}={value}")
-    return config_from_values(parse_flat_text(text))
+    return text
+
+
+def quad_cfg(tmp_path, **overrides):
+    return config_from_values(parse_flat_text(quad_text(tmp_path, **overrides)))
 
 
 class TestStorage:
@@ -106,6 +113,7 @@ class TestPretrain:
         tb, _ = pretrain(cfg_b)
         assert np.array_equal(ta, tb)
 
+    @pytest.mark.pinned_bytes
     @pytest.mark.parametrize("kind, digest", [
         ("quadratic", "5f72b184ecc2faaf627e347c41b388a2950f02e034365f0e76310b3990b89a3b"),
         ("logistic-regression",
@@ -526,6 +534,30 @@ def small_sweeps(draw):
             "gamma": some((0.0, 1.0, 5000.0), 2) if penalty == "isotropic" else None,
             "seeds": some(range(6), 3)}
     return values, grid
+
+
+# run in a child process: argv is the config text and the publish n that SIGKILLs it
+_KILLED_SWEEP = """
+import contextlib, os, signal, sys
+from pathlib import Path
+from recadamlab import harness
+from recadamlab.config import config_from_values, parse_flat_text
+
+cfg = config_from_values(parse_flat_text(sys.argv[1]))
+real, published = harness._published, []
+
+@contextlib.contextmanager
+def killing(path):
+    published.append(path)
+    with real(path) as tmp:
+        yield tmp
+        if len(published) == int(sys.argv[2]):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+harness._SWEEP_CHUNK, harness._published = 2, killing
+harness.sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+harness.report(Path(cfg.output_dir) / "runs")
+"""
 
 
 class TestBatchedSweep:
@@ -1045,6 +1077,64 @@ class TestBatchedSweep:
             lost = Path("pretrain_trace.csv") if name == "pretrain_trace.csv" else None
             assert files() == {path: data for path, data in clean.items() if path != lost}, n
 
+    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+    def test_a_publish_killed_before_its_rename_leaves_only_clean_files(self, tmp_path,
+                                                                         monkeypatch):
+        # the sweep and report of the test above, cleanly in this process; then, for
+        # a chosen publish n, in a child process that SIGKILLs itself once the n-th
+        # publish has written its .tmp and before the rename, then a re-run here
+        text = quad_text(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 50})
+        cfg = config_from_values(parse_flat_text(text))
+        out = Path(cfg.output_dir)
+        real = harness._published
+        published = []
+
+        @contextlib.contextmanager
+        def recorded(path):
+            published.append(Path(path).relative_to(out))
+            with real(path) as tmp:
+                yield tmp
+
+        def files():
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def run():
+            sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
+            report(out / "runs")
+
+        monkeypatch.setattr(harness, "_SWEEP_CHUNK", 2)
+        monkeypatch.setattr(harness, "_published", recorded)
+        run()
+        clean = files()
+        assert len(published) == 15
+        # the child finds the package where this process imported it
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        # the checkpoint, the pretrain trace, a chunk-one trace.csv, the chunk-two
+        # summary.json, summaries.csv and a report table
+        for n in (1, 2, 5, 11, 12, 14):
+            shutil.rmtree(out)
+            child = subprocess.run([sys.executable, "-c", _KILLED_SWEEP, text, str(n)],
+                                   env=env, capture_output=True, text=True, timeout=60)
+            assert child.returncode == -signal.SIGKILL, (n, child.stderr)
+            killed = Path(f"{published[n - 1]}.tmp")
+            left = files()
+            assert [path for path in left if path.suffix == ".tmp"] == [killed], n
+            assert ({path: data for path, data in left.items() if path != killed}.items()
+                    <= clean.items()), n
+            run()
+            after = files()
+            if n == 2:
+                # a killed pretrain_trace.csv publish leaves theta_star.bin, which the
+                # re-run reuses: no pretrain runs, so no pretrain trace is written and
+                # nothing removes the killed publish's .tmp
+                assert after.pop(killed) == left[killed]
+                assert after == {path: data for path, data in clean.items()
+                                 if path != Path("pretrain_trace.csv")}
+            else:
+                assert after == clean, n
+
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):
         # the loop hands a quadratic task the whole (runs, dim) stack at once
@@ -1440,6 +1530,16 @@ class TestReadTrace:
     def test_reordered_steps_are_no_data(self, tmp_path, capsys):
         out, path = self._completed_run(tmp_path)
         self._set_steps(path, ["1", "3", "2", "4", "5"])
+        self._assert_report_is_no_data(out, path, capsys)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:90] + b"\xff" + data[91:],
+        lambda data: b"\xff\xfe" + data,
+    ], ids=["byte-90", "prefix"])
+    def test_undecodable_bytes_near_the_start_are_no_data(self, tmp_path, capsys, damage):
+        # the header pass reads a first block of text, before loadtxt parses the file
+        out, path = self._completed_run(tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
         self._assert_report_is_no_data(out, path, capsys)
 
     @pytest.mark.parametrize("name, damage", [

@@ -13,6 +13,10 @@ package's public names.  A private name is one with a leading underscore
 that is not a dunder; a use is a load of the name, or of an attribute of
 that name, in any top-level statement other than the one that defines it,
 so a helper that only calls itself counts as unused.
+
+``Task.spec = None`` likewise exists only for the tracer: its ``_fisher_key``
+reads ``task.spec``.  The check flags that line once the tracer no longer
+reads the attribute, and any library module that starts to read one.
 """
 
 import ast
@@ -25,6 +29,7 @@ import recadamlab
 SOURCES = sorted(Path(recadamlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TASKS_PATH = Path(recadamlab.__file__).parent / "tasks.py"
 
 
 def imported_names(source: str):
@@ -75,6 +80,33 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_marked_import_is_used(path):
     assert stale_marked_imports(path.read_text()) == []
+
+
+def spec_reads(source: str) -> list:
+    """'line n' for each load of an attribute called spec in source."""
+    return [f"line {lineno}" for lineno in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "spec"
+        and isinstance(node.ctx, ast.Load))]
+
+
+def test_spec_read_is_found():
+    source = "task.spec = None\nkey = task.spec or 0\nspec = 1\nif (\n  t.spec):\n    pass\n"
+    assert spec_reads(source) == ["line 2", "line 5"]
+
+
+def _task_spec_line() -> int:
+    [task] = [statement for statement in ast.parse(TASKS_PATH.read_text()).body
+              if isinstance(statement, ast.ClassDef) and statement.name == "Task"]
+    [line] = [statement.lineno for statement in task.body if isinstance(statement, ast.Assign)
+              and [target.id for target in statement.targets] == ["spec"]]
+    return line
+
+
+def test_task_spec_is_read_by_the_tracer_alone():
+    assert spec_reads(TRACER_PATH.read_text()), (
+        f"perfbench/tracer.py reads no task.spec: delete tasks.py line {_task_spec_line()}")
+    assert {p.name: spec_reads(p.read_text()) for p in SOURCES} == {p.name: [] for p in SOURCES}
 
 
 def wrapped_attributes(tracer_source: str) -> dict:

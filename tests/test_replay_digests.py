@@ -22,6 +22,8 @@ import pytest
 from recadamlab.config import config_from_values, parse_flat_text
 from recadamlab.harness import finetune, pretrain, report, sweep
 
+pytestmark = pytest.mark.pinned_bytes
+
 ISOTROPIC_CFG = """
 transfer.kind=quadratic
 transfer.dim=12

@@ -459,26 +459,19 @@ TRANSFER_PAIRS = {
 }
 
 class TestGeneratorBits:
+    @pytest.mark.pinned_bytes
     @pytest.mark.parametrize("case", sorted(SINGLE_TASKS))
     def test_single_task_arrays_are_pinned(self, case):
         (kind, dim, seed, sizes), expected = SINGLE_TASKS[case]
         task = gen_task(kind, dim, RandomSource(seed), **sizes)
         assert array_digest(task) == expected
 
+    @pytest.mark.pinned_bytes
     @pytest.mark.parametrize("case", sorted(TRANSFER_PAIRS))
     def test_transfer_pair_arrays_are_pinned(self, case):
         (kind, dim, rho, seed, sizes), expected = TRANSFER_PAIRS[case]
         pair = gen_transfer_pair(kind, dim, rho, RandomSource(seed), **sizes)
         assert (array_digest(pair.source), array_digest(pair.target)) == expected
-
-    def test_spec_is_the_generator_arguments_plus_seed(self):
-        task = gen_task("mlp-1h", 0, RandomSource(6), dim_in=3, hidden=4, classes=2,
-                        n_samples=40)
-        assert task.spec == {"kind": "mlp-1h", "dim": 26, "seed": 6, "dim_in": 3,
-                             "hidden": 4, "classes": 2, "n_samples": 40,
-                             "center_scale": 1.0, "noise_std": 1.0, "label_noise": 0.0}
-        pair = gen_transfer_pair("quadratic", 6, 0.3, RandomSource(8), n_samples=512)
-        assert pair.target.spec == pair.source.spec == {"kind": "quadratic", "dim": 6, "seed": 8}
 
 
 class TestSizeChecks:
@@ -496,6 +489,15 @@ class TestSizeChecks:
             gen_transfer_pair(kind, dim, 0.5, RandomSource(0), n_samples=0, **sizes)
         with pytest.raises(ValueError, match="n_samples"):
             gen_task(kind, dim, RandomSource(0), n_samples=-3, **sizes)
+
+    def test_mlp_dim_follows_from_its_layer_sizes(self):
+        task = gen_task("mlp-1h", 0, RandomSource(6), dim_in=3, hidden=4, classes=2,
+                        n_samples=40)
+        assert (task.dim, task.features.shape, task.labels.shape) == (26, (40, 3), (40,))
+
+    def test_keywords_of_other_kinds_are_left_out(self):
+        pair = gen_transfer_pair("quadratic", 6, 0.3, RandomSource(8), n_samples=512)
+        assert pair.source.dim == pair.target.dim == 6
 
     def test_mlp_dim_must_match_its_layer_sizes(self):
         with pytest.raises(DimensionError, match="parameter count is 17"):

@@ -169,11 +169,13 @@ def stack_digests(out):
     return {seed: sha256(out / "stack" / f"s{seed}" / "trace.csv") for seed in (0, 1, 2)}
 
 
+@pytest.mark.pinned_bytes
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_lone_traces_at_the_block_edges_are_pinned(tmp_path, case):
     assert edge_digests(case, tmp_path) == EDGE_DIGESTS[case]
 
 
+@pytest.mark.pinned_bytes
 def test_stack_traces_across_block_edges_are_pinned(tmp_path):
     assert stack_digests(tmp_path) == STACK_DIGESTS
 
