@@ -161,11 +161,7 @@ class TestPretrain:
         pretrain(cfg)
         short = cfg.with_values({"pretrain.steps": 50})
         theta_star, _ = pretrain(short, write_outputs=False)
-
-        def failing(self, rows):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        failing_publishes(monkeypatch, lambda path: path.name == "pretrain_trace.csv")
         with pytest.raises(OSError, match="disk full"):
             pretrain(short)
         out = Path(cfg.output_dir)
@@ -259,15 +255,13 @@ class TestFinetune:
         assert trace.tobytes() == reloaded.tobytes()
 
     @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 130])
-    def test_write_rows_gives_the_bytes_of_one_format_a_row(self, tmp_path, n_rows):
-        # whole 64-row blocks go through one % each, the rest row by row;
+    def test_finish_gives_the_bytes_of_one_format_a_row(self, tmp_path, n_rows):
+        # each block of at most 64 rows goes through one %, the last one shorter;
         # the rows cycle through the edge floats in every column but step
         edges = [0.0, -0.0, 5e-324, 1e16, 1e17, float("nan"), float("inf"), float("-inf")]
         rows = np.resize(np.array(edges), (n_rows, len(TRACE_COLUMNS)))
         rows[:, 0] = np.arange(1, n_rows + 1)
-        writer = harness.TraceWriter(tmp_path / "trace.csv")
-        writer.write_rows(rows)
-        writer.close()
+        harness._finish(rows, tmp_path / "trace.csv")
         expected = "".join(harness._ROW_FORMAT % tuple(r) for r in rows.tolist()).encode()
         assert (tmp_path / "trace.csv").read_bytes() == (
             ",".join(TRACE_COLUMNS) + "\n").encode() + expected
@@ -440,17 +434,35 @@ def counted(monkeypatch, name):
     return calls
 
 
-def recorded_writers(monkeypatch):
-    """Every harness.TraceWriter opened from now on, in order."""
-    writers = []
+def recorded_opens(monkeypatch):
+    """Every file the harness module opens from now on, in order."""
+    files = []
 
-    class Recorded(harness.TraceWriter):
-        def __init__(self, path):
-            super().__init__(path)
-            writers.append(self)
+    def recorded(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
 
-    monkeypatch.setattr(harness, "TraceWriter", Recorded)
-    return writers
+    monkeypatch.setattr(harness, "open", recorded, raising=False)
+    return files
+
+
+def failing_publishes(monkeypatch, fails):
+    """Make harness._published raise OSError("disk full") once the .tmp of each path
+    that fails(path) picks is written; returns every path published, in order."""
+    real = harness._published
+    published = []
+
+    @contextlib.contextmanager
+    def failing(path):
+        published.append(Path(path))
+        with real(path) as tmp:
+            yield tmp
+            if fails(Path(path)):
+                assert tmp.exists()
+                raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "_published", failing)
+    return published
 
 
 def recorded_run(run_dir):
@@ -536,7 +548,8 @@ def small_sweeps(draw):
     return values, grid
 
 
-# run in a child process: argv is the config text and the publish n that SIGKILLs it
+# run in a child process: argv is the config text, a harness function (_published or a
+# stepper) and the call n that SIGKILLs the process: a publish once its .tmp is written
 _KILLED_SWEEP = """
 import contextlib, os, signal, sys
 from pathlib import Path
@@ -544,17 +557,26 @@ from recadamlab import harness
 from recadamlab.config import config_from_values, parse_flat_text
 
 cfg = config_from_values(parse_flat_text(sys.argv[1]))
-real, published = harness._published, []
+name, calls = sys.argv[2], []
+real = getattr(harness, name)
+
+def kill_at_call_n():
+    calls.append(1)
+    if len(calls) == int(sys.argv[3]):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 @contextlib.contextmanager
-def killing(path):
-    published.append(path)
+def publishing(path):
     with real(path) as tmp:
         yield tmp
-        if len(published) == int(sys.argv[2]):
-            os.kill(os.getpid(), signal.SIGKILL)
+        kill_at_call_n()
 
-harness._SWEEP_CHUNK, harness._published = 2, killing
+def stepping(*args):
+    kill_at_call_n()
+    return real(*args)
+
+harness._SWEEP_CHUNK = 2
+setattr(harness, name, publishing if name == "_published" else stepping)
 harness.sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
 harness.report(Path(cfg.output_dir) / "runs")
 """
@@ -781,12 +803,12 @@ class TestBatchedSweep:
             return real(*args)
 
         monkeypatch.setattr(harness, "recadam_step", interrupted)
-        writers = recorded_writers(monkeypatch)
+        files = recorded_opens(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
         run_dirs = sorted((Path(cfg.output_dir) / "runs").iterdir())
-        assert len(run_dirs) == len(writers) == 3
-        assert all(writer._fh.closed for writer in writers)
+        assert len(run_dirs) == len(files) == 3
+        assert all(fh.closed for fh in files)
         return run_dirs
 
     def test_an_interrupted_sweep_writes_every_run_up_to_it(self, tmp_path, monkeypatch):
@@ -806,14 +828,8 @@ class TestBatchedSweep:
         # the second run's write fails: the other runs are still written, every
         # file is closed, the KeyboardInterrupt passing through is what raises,
         # and the failed run is left neither a trace.csv nor its temporary file
-        real = harness.TraceWriter.write_rows
-
-        def failing(self, rows):
-            if self.path.parent.name.endswith("s1"):
-                raise OSError("disk full")
-            real(self, rows)
-
-        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
+        failing_publishes(monkeypatch, lambda path: path.name == "trace.csv"
+                          and path.parent.name.endswith("s1"))
         run_dirs = self._interrupt_sweep_at_step_100(tmp_path, monkeypatch)
         assert [len(read_trace(d / "trace.csv")) for d in run_dirs[::2]] == [99, 99]
         assert sorted(p.name for p in run_dirs[1].iterdir()) == ["config.json"]  # no .tmp
@@ -822,15 +838,11 @@ class TestBatchedSweep:
                                                                     monkeypatch):
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 100})
         pretrain(cfg)
-
-        def failing(self, rows):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
-        writers = recorded_writers(monkeypatch)
+        failing_publishes(monkeypatch, lambda path: path.name == "trace.csv")
+        files = recorded_opens(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
-        assert len(writers) == 3 and all(writer._fh.closed for writer in writers)
+        assert len(files) == 3 and all(fh.closed for fh in files)
 
     def test_no_trace_file_exists_while_a_stack_trains(self, tmp_path, monkeypatch):
         # a process killed mid-stack leaves no trace.csv that looks complete
@@ -861,21 +873,14 @@ class TestBatchedSweep:
         # run is left neither a trace.csv nor its temporary file
         cfg = quad_cfg(tmp_path, **{"finetune.steps": 150, "pretrain.steps": 500})
         pretrain(cfg)
-        real = harness.TraceWriter.write_rows
-        written = []
-
-        def failing(self, rows):
-            written.append(self.path.parent.name)
-            if "-g5000-" in self.path.parent.name:
-                raise OSError("disk full")
-            real(self, rows)
-
-        monkeypatch.setattr(harness.TraceWriter, "write_rows", failing)
-        writers = recorded_writers(monkeypatch)
+        published = failing_publishes(monkeypatch, lambda path: path.name == "trace.csv"
+                                      and "-g5000-" in path.parent.name)
+        files = recorded_opens(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             sweep(cfg, {"k": (0.05,), "t0": (20,), "gamma": (1.0, 5000.0), "seeds": (0,)})
+        written = [path.parent.name for path in published if path.name == "trace.csv"]
         assert sorted(written) == ["k0.05-t20-g1-s0", "k0.05-t20-g5000-s0"]
-        assert len(writers) == 2 and all(writer._fh.closed for writer in writers)
+        assert len(files) == 2 and all(fh.closed for fh in files)
         runs = Path(cfg.output_dir) / "runs"
         assert len(read_trace(runs / "k0.05-t20-g1-s0" / "trace.csv")) == 150
         assert sorted(p.name for p in (runs / "k0.05-t20-g5000-s0").iterdir()) == ["config.json"]
@@ -1077,12 +1082,12 @@ class TestBatchedSweep:
             lost = Path("pretrain_trace.csv") if name == "pretrain_trace.csv" else None
             assert files() == {path: data for path, data in clean.items() if path != lost}, n
 
-    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
-    def test_a_publish_killed_before_its_rename_leaves_only_clean_files(self, tmp_path,
-                                                                         monkeypatch):
-        # the sweep and report of the test above, cleanly in this process; then, for
-        # a chosen publish n, in a child process that SIGKILLs itself once the n-th
-        # publish has written its .tmp and before the rename, then a re-run here
+    def _sweeps_to_kill(self, tmp_path, monkeypatch):
+        """The sweep and report of the test above, run cleanly in this process.  Returns
+        (its files, the paths it published in order, kill, rerun): kill(name, n) runs
+        them afresh in a child process that SIGKILLs itself at the n-th call of
+        harness.<name>, checks that it died so and returns the files left; rerun() runs
+        them here and returns the files.  Files map a path under output_dir to its bytes."""
         text = quad_text(tmp_path, **{"finetune.steps": 20, "pretrain.steps": 50})
         cfg = config_from_values(parse_flat_text(text))
         out = Path(cfg.output_dir)
@@ -1098,42 +1103,77 @@ class TestBatchedSweep:
         def files():
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-        def run():
+        def rerun():
             sweep(cfg, {"k": None, "t0": None, "gamma": None, "seeds": (0, 1, 2)})
             report(out / "runs")
+            return files()
 
-        monkeypatch.setattr(harness, "_SWEEP_CHUNK", 2)
-        monkeypatch.setattr(harness, "_published", recorded)
-        run()
-        clean = files()
-        assert len(published) == 15
         # the child finds the package where this process imported it
         src = str(Path(harness.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def kill(name, n):
+            shutil.rmtree(out)
+            child = subprocess.run([sys.executable, "-c", _KILLED_SWEEP, text, name, str(n)],
+                                   env=env, capture_output=True, text=True, timeout=60)
+            assert child.returncode == -signal.SIGKILL, (name, n, child.stderr)
+            return files()
+
+        monkeypatch.setattr(harness, "_SWEEP_CHUNK", 2)
+        monkeypatch.setattr(harness, "_published", recorded)
+        clean = rerun()
+        assert len(published) == 15
+        return clean, published, kill, rerun
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+    def test_a_publish_killed_before_its_rename_leaves_only_clean_files(self, tmp_path,
+                                                                         monkeypatch):
+        # the sweep and report of the test above, cleanly in this process; then, for
+        # a chosen publish n, in a child process that SIGKILLs itself once the n-th
+        # publish has written its .tmp and before the rename, then a re-run here
+        clean, published, kill, rerun = self._sweeps_to_kill(tmp_path, monkeypatch)
         # the checkpoint, the pretrain trace, a chunk-one trace.csv, the chunk-two
         # summary.json, summaries.csv and a report table
         for n in (1, 2, 5, 11, 12, 14):
-            shutil.rmtree(out)
-            child = subprocess.run([sys.executable, "-c", _KILLED_SWEEP, text, str(n)],
-                                   env=env, capture_output=True, text=True, timeout=60)
-            assert child.returncode == -signal.SIGKILL, (n, child.stderr)
+            left = kill("_published", n)
             killed = Path(f"{published[n - 1]}.tmp")
-            left = files()
             assert [path for path in left if path.suffix == ".tmp"] == [killed], n
             assert ({path: data for path, data in left.items() if path != killed}.items()
                     <= clean.items()), n
-            run()
-            after = files()
+            after = rerun()
             if n == 2:
                 # a killed pretrain_trace.csv publish leaves theta_star.bin, which the
-                # re-run reuses: no pretrain runs, so no pretrain trace is written and
-                # nothing removes the killed publish's .tmp
-                assert after.pop(killed) == left[killed]
+                # re-run reuses: no pretrain runs, so no pretrain trace is written, and
+                # the re-run removes the killed publish's .tmp
                 assert after == {path: data for path, data in clean.items()
                                  if path != Path("pretrain_trace.csv")}
             else:
                 assert after == clean, n
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+    def test_a_sweep_killed_mid_chunk_leaves_only_clean_files(self, tmp_path, monkeypatch):
+        # the same sweep and report, killed in a child process at the n-th call of a
+        # stepper, between publishes: mid-pretrain (50 steps), then mid chunk one and
+        # mid chunk two (20 steps each); it leaves no .tmp and only files of clean
+        # bytes, those published before the kill, and a re-run gives every file back
+        clean, _, kill, rerun = self._sweeps_to_kill(tmp_path, monkeypatch)
+
+        def run_files(seed, *names):
+            return [f"runs/k0.1-t100-g1-s{seed}/{name}" for name in names]
+
+        pair = ["theta_star.bin", "pretrain_trace.csv"]
+        chunk_one = [path for seed in (0, 1)
+                     for path in run_files(seed, "config.json", "trace.csv", "summary.json")]
+        for name, n, expected in (
+                ("adam_step", 25, []),
+                ("recadam_step", 10, pair + run_files(0, "config.json")
+                 + run_files(1, "config.json")),
+                ("recadam_step", 30, pair + chunk_one + run_files(2, "config.json"))):
+            left = kill(name, n)
+            assert not [path for path in left if path.suffix == ".tmp"], (name, n)
+            assert left == {path: clean[path] for path in map(Path, expected)}, (name, n)
+            assert rerun() == clean, (name, n)
 
     @pytest.mark.parametrize("dim, runs", [(1, 1), (6, 2), (12, 40), (33, 7)])
     def test_stacked_quadratic_gradient_is_bit_equal_per_row(self, dim, runs):

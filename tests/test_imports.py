@@ -16,7 +16,10 @@ so a helper that only calls itself counts as unused.
 
 ``Task.spec = None`` likewise exists only for the tracer: its ``_fisher_key``
 reads ``task.spec``.  The check flags that line once the tracer no longer
-reads the attribute, and any library module that starts to read one.
+reads the attribute, and any library module that starts to read one.  So
+with the stub ``TraceWriter`` class, whose ``write_row = None`` the tracer
+patches: the check flags the class once the tracer no longer loads
+``TraceWriter.write_row``, and any library line that loads either name.
 """
 
 import ast
@@ -30,6 +33,7 @@ SOURCES = sorted(Path(recadamlab.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 TASKS_PATH = Path(recadamlab.__file__).parent / "tasks.py"
+HARNESS_PATH = Path(recadamlab.__file__).parent / "harness.py"
 
 
 def imported_names(source: str):
@@ -107,6 +111,38 @@ def test_task_spec_is_read_by_the_tracer_alone():
     assert spec_reads(TRACER_PATH.read_text()), (
         f"perfbench/tracer.py reads no task.spec: delete tasks.py line {_task_spec_line()}")
     assert {p.name: spec_reads(p.read_text()) for p in SOURCES} == {p.name: [] for p in SOURCES}
+
+
+def stub_loads(source: str) -> list:
+    """'line n: name' for each load of a name or attribute TraceWriter or write_row."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in ("TraceWriter", "write_row") and isinstance(node.ctx, ast.Load):
+            found.append((node.lineno, name))
+    return [f"line {lineno}: {name}" for lineno, name in sorted(found)]
+
+
+def test_stub_load_is_found():
+    source = ("class TraceWriter:\n    write_row = None\n\n"
+              "patch(harness.TraceWriter, 'write_row',\n      harness.TraceWriter.write_row)\n"
+              "TraceWriter.write_row = f\n")
+    assert stub_loads(source) == ["line 4: TraceWriter", "line 5: TraceWriter",
+                                  "line 5: write_row", "line 6: TraceWriter"]
+
+
+def _trace_writer_lines() -> str:
+    [stub] = [statement for statement in ast.parse(HARNESS_PATH.read_text()).body
+              if isinstance(statement, ast.ClassDef) and statement.name == "TraceWriter"]
+    return f"{stub.lineno}-{stub.end_lineno}"
+
+
+def test_trace_writer_is_patched_by_the_tracer_alone():
+    assert any(load.endswith(": write_row") for load in stub_loads(TRACER_PATH.read_text())), (
+        "perfbench/tracer.py patches no TraceWriter.write_row: "
+        f"delete harness.py lines {_trace_writer_lines()}")
+    assert {p.name: stub_loads(p.read_text()) for p in SOURCES} == {p.name: [] for p in SOURCES}
 
 
 def wrapped_attributes(tracer_source: str) -> dict:
