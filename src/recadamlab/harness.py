@@ -17,12 +17,13 @@ best/steps-to-threshold come from the trace's batch losses.
 One training loop, _run_loop, advances a stack of runs at once: theta and the Adam
 moments are (S, d) arrays with one run per row.  A step computes only what the update
 reads; the penalty, composite, distance and gradient-norm columns are filled a block of
-max(_FILL_STEPS, _BLOCK // S) steps at a time.  pretrain and finetune are its S = 1
-case; sweep runs its grid through it in chunks of at most _SWEEP_CHUNK runs and
-_TRACE_ROW_BUDGET trace rows, and every run's files are the same bytes a lone finetune
-writes.  One-entry memos hold the transfer pair and any Fisher diagonal: a process builds
-each once per key.  A failing check's NumericError.rows marks the runs that passed it;
-_run_loop retires the others.
+max(_FILL_STEPS, _BLOCK // S) steps at a time.  At a step where every run's lambda is
+exactly 1.0 a recall kind steps with adam_step, the same bits, and takes no penalty
+gradient.  pretrain and finetune are its S = 1 case; sweep runs its grid through it in
+chunks of at most _SWEEP_CHUNK runs and _TRACE_ROW_BUDGET trace rows, and every run's
+files are the same bytes a lone finetune writes.  One-entry memos hold the transfer pair
+and any Fisher diagonal: a process builds each once per key.  A failing check's
+NumericError.rows marks the runs that passed it; _run_loop retires the others.
 """
 
 import contextlib
@@ -173,13 +174,14 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     anneals[i] and the isotropic coefficient gammas[i] (default pen.gamma).
     No file exists while the stack trains: at its exit, with its result or an exception,
     _finish writes run i's rows to trace_paths[i] (None, as pretrain passes: no file).
-    A step computes only what the update reads; _fill makes the other columns
-    from a block of max(_FILL_STEPS, _BLOCK // S) steps of theta and gradient.  Each
-    row of every (S, d) array is bit-identical to the run alone.  Returns per
-    run (trace, final theta), or a NumericError for a run whose loss, gradient
-    or penalty gradient was not finite at step t (the first check it failed): its
-    trace ends at step t - 1, and it leaves the stepper's arrays while the others go on.
-    The trace and block arrays keep one row per run id for the whole call."""
+    A step computes only what the update reads (where every row's lambda is exactly 1.0, a
+    recall kind steps as adam_step, the same bits, and takes no penalty gradient); _fill
+    makes the other columns from a block of max(_FILL_STEPS, _BLOCK // S) steps of theta
+    and gradient.  Each row of every (S, d) array is bit-identical to the run alone.
+    Returns per run (trace, final theta), or a NumericError for a run whose loss, gradient
+    or penalty gradient, if taken, was not finite at step t (the first check it failed):
+    its trace ends at step t - 1, and it leaves the stepper's arrays while the others go
+    on.  The trace and block arrays keep one row per run id for the whole call."""
     recall, step = _STEPPERS[kind]
     theta = np.array(theta0, dtype=np.float64)
     state = AdamState.fresh(theta.shape)
@@ -191,6 +193,9 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
     data[:, :, _LAMBDA] = 1.0
     for anneal, rows in _group(range(len(theta)) if recall else (), lambda i: anneals[i]).items():
         data[rows, :, _LAMBDA] = [lambda_at(anneal, t) for t in range(1, steps + 1)]
+    # where every row's lambda is exactly 1.0, the recall weight 1 - lambda is 0 and a recall
+    # kind's update is adam_step's bit for bit: those steps call it, with no penalty_grad
+    as_adam = (data[:, :, _LAMBDA] == 1.0).all(axis=0).tolist() if recall else [False] * steps
     gammas = np.full(len(theta), pen.gamma if gammas is None else gammas, np.float64)[:, None]
     runs = list(range(len(theta)))  # the live runs' ids, one per row of theta and state
     live = slice(None)  # their rows of the by-id arrays: all of them until a run fails
@@ -211,7 +216,7 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
             if t - 1 - filled == thetas.shape[1]:  # a full block
                 _fill(data[:, filled:t - 1], thetas, grads, pen, gammas)
                 filled = t - 1
-            j = t - 1 - filled
+            j, eta = t - 1 - filled, etas[t - 1]
             thetas[live, j] = theta
             if stacked:
                 data[live, t - 1, _LOSS], grads[live, j] = task.loss_and_grad(theta)
@@ -225,10 +230,13 @@ def _run_loop(task, theta0, steps, batch_size, batch_rngs, trace_paths, pen, kin
                     if not all(map(math.isfinite, losses.tolist())):  # no sum: it overflows
                         raise NumericError(f"non-finite loss at step {t}", step=t,
                                            rows=np.isfinite(losses))
-                    # the stepper checks the gradients
-                    theta, state = step(theta, state, adam_cfg, weight_decay, etas[t - 1],
-                                        grads[live, j], data[live, t - 1, _LAMBDA:_LAMBDA + 1],
-                                        penalty_grad(pen, theta, gammas[live]) if recall else None)
+                    if as_adam[t - 1]:  # either stepper checks the gradients
+                        theta, state = adam_step(theta, state, adam_cfg, eta, grads[live, j])
+                    else:
+                        pull = penalty_grad(pen, theta, gammas[live]) if recall else None
+                        theta, state = step(theta, state, adam_cfg, weight_decay, eta,
+                                            grads[live, j], data[live, t - 1, _LAMBDA:_LAMBDA + 1],
+                                            pull)
                     break
                 except NumericError as exc:
                     if (keep := exc.rows) is None or keep.all():

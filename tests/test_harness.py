@@ -212,6 +212,26 @@ class TestFinetune:
         assert np.array_equal(rec_trace[:, TRACE_COLUMNS.index("dist_to_pretrained")],
                               adam_trace[:, TRACE_COLUMNS.index("dist_to_pretrained")])
 
+    @pytest.mark.parametrize("kind", ["recadam", "recadam-coupled"])
+    def test_saturated_shifting_takes_no_penalty_gradient(self, tmp_path, kind):
+        # lambda is exactly 1.0 at every step, so the loop steps as Adam and neither takes
+        # nor checks a penalty gradient: one that overflows (gamma * |theta - theta*| past
+        # the largest float, whose weight 1 - lambda is 0) stops no run
+        cfg = quad_cfg(tmp_path, **{"pretrain.steps": 1000, "penalty.gamma": 1e308,
+                                    "shifting.k": 1000.0, "shifting.t0": 0})
+        theta_star, _ = pretrain(cfg, write_outputs=False)
+        rec_trace, _ = finetune(cfg.with_values({"finetune.optimizer.kind": kind}),
+                                theta_star, seed=0)
+        adam_trace, _ = finetune(cfg.with_values({"finetune.optimizer.kind": "adam"}),
+                                 theta_star, seed=0)
+        same = [TRACE_COLUMNS.index(name)
+                for name in ("target_loss", "dist_to_pretrained", "grad_norm")]
+        assert len(rec_trace) == 300
+        assert rec_trace[:, same].tobytes() == adam_trace[:, same].tobytes()
+        # the first logged penalty overflows too, and 0 * inf makes the composite NaN
+        assert rec_trace[0, TRACE_COLUMNS.index("penalty_value")] == np.inf
+        assert np.isnan(rec_trace[0, TRACE_COLUMNS.index("composite_loss")])
+
     def test_identical_tasks_start_at_the_optimum(self, tmp_path):
         cfg = quad_cfg(tmp_path, **{"transfer.rho": 1.0,
                                     "finetune.optimizer.kind": "adam",

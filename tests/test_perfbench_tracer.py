@@ -5,13 +5,14 @@
 ``loss_and_grad`` and ``per_sample_loglik_grads``.  Installing it fails if
 one of those names has gone; a traced run must count each optimizer step
 once, under the span of the run's own stepper, a recall kind's penalty
-gradient once, and each task gradient once, on every task kind; a traced
-``finetune`` must count one penalty value and one distance span per filled
-trace block, and one more distance for its summary; a traced
-report must count one trace read per run and the rows it read; a traced
-``finetune`` or ``sweep`` command must count one checkpoint read; a traced
-``finetune`` counts a pair build and a Fisher estimate only when the
-harness memos miss.
+gradient once, and each task gradient once, on every task kind, except that
+a recall kind steps through ``adam_step`` with no penalty gradient where
+lambda is exactly 1.0; a traced ``finetune`` must count one penalty value
+and one distance span per filled trace block, and one more distance for
+its summary; a traced report must count one trace read per run and the
+rows it read; a traced ``finetune`` or ``sweep`` command must count one
+checkpoint read; a traced ``finetune`` counts a pair build and a Fisher
+estimate only when the harness memos miss.
 """
 
 import importlib.util
@@ -66,6 +67,22 @@ def test_traced_finetune_counts_one_stepper_call_per_step(tmp_path, kind):
         assert tracer.calls[name] == (20 if name == STEP_SPANS[kind] else 0)
     # a recall kind takes one penalty gradient a step, through the harness name
     assert tracer.calls["recall.penalty_grad"] == (20 if kind.startswith("recadam") else 0)
+
+
+@pytest.mark.parametrize("kind", ["recadam", "recadam-coupled"])
+def test_traced_finetune_steps_as_adam_once_lambda_is_one(tmp_path, kind):
+    # k = 10, t0 = 5: lambda is exactly 1.0 from step 9 on, so steps 1-8 take the
+    # kind's stepper and a penalty gradient, and steps 9-20 take adam_step alone
+    cfg = config_from_values(parse_flat_text(CFG.format(kind=kind, out=tmp_path)))
+    cfg = cfg.with_values({"shifting.k": 10.0, "shifting.t0": 5})
+    theta_star, _ = harness.pretrain(cfg, write_outputs=False)
+    with load_tracer().Tracer().installed() as tracer:
+        trace, _ = harness.finetune(cfg, theta_star, seed=0)
+    lam = trace[:, harness.TRACE_COLUMNS.index("lambda")]
+    assert lam[7] < 1.0 == lam[8]
+    assert tracer.calls[STEP_SPANS[kind]] == 8
+    assert tracer.calls["optim.adam_step"] == 12
+    assert tracer.calls["recall.penalty_grad"] == 8
 
 
 @pytest.mark.parametrize("steps, blocks", [(20, 1), (130, 3)])

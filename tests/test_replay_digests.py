@@ -10,7 +10,9 @@ last, run two kinds each.  One more case pins the three files ``report``
 writes for a directory of five runs, so a change to how traces are read or
 aggregated must leave those bytes unchanged too, and one pins the
 ``summaries.csv`` and ``best_config.txt`` a small sweep writes, failed rows
-included.  The digests belong to the NumPy/BLAS build they were taken on
+included.  Four more cases, a lone run and a three-run sweep for each recall
+kind, cross the step from which lambda is exactly 1.0 and the loop steps as
+Adam.  The digests belong to the NumPy/BLAS build they were taken on
 (NumPy 2.4, OpenBLAS, x86-64); another build may round a reduction
 differently and then needs its own digests.
 """
@@ -260,3 +262,86 @@ TASK_DIGESTS = {
 @pytest.mark.parametrize("task, kind", sorted(TASK_DIGESTS))
 def test_dataset_task_run_replays_to_pinned_bytes(tmp_path, task, kind):
     assert run_digests(TASK_CFGS[task], kind, tmp_path) == TASK_DIGESTS[(task, kind)]
+
+
+HANDOVER_CFG = """
+transfer.kind=quadratic
+transfer.dim=12
+transfer.rho=0.7
+transfer.seed=3
+pretrain.steps=200
+pretrain.optimizer.alpha=0.1
+finetune.steps=40
+finetune.optimizer.kind={kind}
+finetune.optimizer.alpha=0.05
+finetune.init=random
+shifting.k=10
+shifting.t0=5
+penalty.kind=isotropic
+penalty.gamma=1.0
+seeds=11
+output_dir={out}
+"""
+
+# kind -> (sha256 of trace.csv, sha256 of summary.json) of a lone run at t0 = 5, whose
+# lambda is exactly 1.0 from step 9: the loop steps it as Adam from there
+HANDOVER_DIGESTS = {
+    "recadam": (
+        "7976cda6b15c5ba7336f525a1fd765197a95b936ee7dde7718dfee75041c9f54",
+        "61bd08e9e4b56f8d765156695febe8caefcde4f0d2a162d669721a9e6636ceaf"),
+    "recadam-coupled": (
+        "430929191e40edac747af76fb7c2685fc09c06378fecd703fd7b2900b09159ce",
+        "be9b793e0d0f45ee6a66aaae142ecf9bd95af83b3f678661f955d14f438a6e22"),
+}
+
+# kind -> file under output_dir -> sha256, for a sweep over t0 = 5, 15, 25 whose rows reach
+# lambda = 1.0 at steps 9, 19 and 29: the stack steps as Adam from step 29 only, and its
+# t0 = 5 run still writes the lone run's bytes
+HANDOVER_SWEEP_DIGESTS = {
+    "recadam": {
+        "runs/k10-t5-g1-s11/trace.csv":
+            "7976cda6b15c5ba7336f525a1fd765197a95b936ee7dde7718dfee75041c9f54",
+        "runs/k10-t5-g1-s11/summary.json":
+            "61bd08e9e4b56f8d765156695febe8caefcde4f0d2a162d669721a9e6636ceaf",
+        "runs/k10-t15-g1-s11/trace.csv":
+            "521c16081cd2888a0c41f6e100283d82d3c137e55f346c5e85b81f6298efb8e5",
+        "runs/k10-t15-g1-s11/summary.json":
+            "ba412cdbfb4d12c88173f52b8c8619d863b608db652df00b611dd37ec9ba772c",
+        "runs/k10-t25-g1-s11/trace.csv":
+            "6f1be954bdb6bb121a3d42d0b4af90e8195bcc0a1700839a47589c7ab49e2c49",
+        "runs/k10-t25-g1-s11/summary.json":
+            "402c9be0b62028126d7f5626d08647558af623bdd827b986c6cabb85b128a87b",
+        "summaries.csv":
+            "494da2b086aedef3327f425ed8df05fcf4345b58fd61ef01f2751dd7c7a3b9af",
+    },
+    "recadam-coupled": {
+        "runs/k10-t5-g1-s11/trace.csv":
+            "430929191e40edac747af76fb7c2685fc09c06378fecd703fd7b2900b09159ce",
+        "runs/k10-t5-g1-s11/summary.json":
+            "be9b793e0d0f45ee6a66aaae142ecf9bd95af83b3f678661f955d14f438a6e22",
+        "runs/k10-t15-g1-s11/trace.csv":
+            "9c25c3ecab9e471be04abf813eee57e55db6d602974833dae46408c4773265b7",
+        "runs/k10-t15-g1-s11/summary.json":
+            "98dece96921fd606f4ea4eb15bcb1f8f4a6862bd9f1be3490c0127d2b43a7e5d",
+        "runs/k10-t25-g1-s11/trace.csv":
+            "ea601fa3975dff1788a6c043226f27f94bd670d2f668dc69cc2825fbd0cb32f0",
+        "runs/k10-t25-g1-s11/summary.json":
+            "9f13cbfc28bf2978acba67627edb97bce6aed4dfe5fa4beae3660394c458fe87",
+        "summaries.csv":
+            "ee65d76f28d680303583e1b2d2e487b172aa2129b33a51356d48a0947c547a87",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["recadam", "recadam-coupled"])
+def test_run_across_the_adam_handover_replays_to_pinned_bytes(tmp_path, kind):
+    assert run_digests(HANDOVER_CFG, kind, tmp_path) == HANDOVER_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ["recadam", "recadam-coupled"])
+def test_sweep_across_the_adam_handover_writes_pinned_bytes(tmp_path, kind):
+    cfg = config_from_values(parse_flat_text(HANDOVER_CFG.format(kind=kind, out=tmp_path)))
+    sweep(cfg, {"k": None, "t0": (5, 15, 25), "gamma": None, "seeds": None})
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in HANDOVER_SWEEP_DIGESTS[kind]}
+    assert digests == HANDOVER_SWEEP_DIGESTS[kind]
